@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from itertools import permutations
 
 from . import bijection, core, counting, labeled, oracle, trees, trunk, verify
 
@@ -29,7 +28,7 @@ def _build_parser() -> _Parser:
     count.add_argument("--height", type=int, required=True, help="length bound h")
     count.add_argument("--at-most", action="store_true", help="count length <= h instead of exactly h")
     count.add_argument("--labeled", action="store_true")
-    count.add_argument("--mode", choices=counting.METHODS, default="convolution",
+    count.add_argument("--mode", choices=counting.METHODS,
                        help="unlabeled route; 'closed' always reports the at-most count")
     count.add_argument("--check", action="store_true", help="cross-check against the series route")
 
@@ -79,22 +78,17 @@ def _render(kind: str, s: core.Semiorder) -> str:
 
 def _cmd_count(args, out) -> int:
     if args.labeled:
-        value = (
-            labeled.count_labeled_leq(args.n, args.height)
-            if args.at_most
-            else labeled.count_labeled_exact(args.n, args.height)
-        )
-    elif args.mode == "closed" or args.at_most:
-        # the closed forms exist only for the at-most family
-        value = counting.count_leq(args.n, args.height, args.mode)
-    else:
-        value = counting.count_exact(args.n, args.height, args.mode)
-    if args.check and not args.labeled:
-        reference = (
-            counting.count_leq(args.n, args.height, "series")
-            if args.mode == "closed" or args.at_most
-            else counting.count_exact(args.n, args.height, "series")
-        )
+        if args.mode is not None or args.check:
+            raise ValueError("--labeled takes neither --mode nor --check")
+        counter = labeled.count_labeled_leq if args.at_most else labeled.count_labeled_exact
+        print(counter(args.n, args.height), file=out)
+        return 0
+    mode = args.mode or "convolution"
+    # the closed forms exist only for the at-most family
+    counter = counting.count_leq if mode == "closed" or args.at_most else counting.count_exact
+    value = counter(args.n, args.height, mode)
+    if args.check:
+        reference = counter(args.n, args.height, "series")
         if reference != value:
             print(f"cross-check failed: {value} != series {reference}", file=sys.stderr)
             return 2
@@ -133,11 +127,7 @@ def _cmd_trunk(args, out) -> int:
         if args.count_only:
             print(trunk.count_trunk_trees(s), file=out)
         else:
-            m = trunk.upper_count(s)
-            shapes = sorted(
-                {trunk.trunk_tree(s, sigma).leaf_counts for sigma in permutations(range(1, m + 1))}
-            )
-            for shape in shapes:
+            for shape in trunk._distinct_shapes(s):
                 print(",".join(str(c) for c in shape), file=out)
     for warning in caught:
         if issubclass(warning.category, trunk.HypothesisViolatedWarning):

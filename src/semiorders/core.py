@@ -15,6 +15,7 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -177,24 +178,23 @@ def down_set(s: Semiorder, i: int) -> frozenset[int]:
 def level_profile(s: Semiorder) -> LevelProfile:
     """Assign levels to elements and report per-level sizes.
 
-    Only elements with smaller index can lie above element j, so a single
-    left-to-right pass computes the longest chain strictly above each
-    element.
+    Levels are consecutive blocks read off the vector in one scan: level 1
+    is 1..n - r_1, and a level starting at element t ends at n - r_t,
+    because t has the largest entry on its level and the elements beyond
+    n - r_t are exactly those below some element of that level.
     """
     n = s.n
     if n == 0:
         raise EmptySemiorderError("empty semiorder has no level structure")
-    level: list[int] = []
-    for j in range(1, n + 1):
-        deepest_above = 0
-        for i in range(1, j):
-            if s.rho[i - 1] > n - j and level[i - 1] > deepest_above:
-                deepest_above = level[i - 1]
-        level.append(deepest_above + 1)
-    # levels are nondecreasing in index because up-sets grow with the index
-    assert all(level[i] <= level[i + 1] for i in range(n - 1))
-    sizes = tuple(level.count(lv) for lv in range(1, max(level) + 1))
-    return LevelProfile(tuple(level), sizes)
+    level_of: list[int] = []
+    sizes: list[int] = []
+    start = 1
+    while start <= n:
+        end = n - s.rho[start - 1]
+        sizes.append(end - start + 1)
+        level_of.extend([len(sizes)] * (end - start + 1))
+        start = end + 1
+    return LevelProfile(tuple(level_of), tuple(sizes))
 
 
 def bad_elements(s: Semiorder) -> dict[int, int]:
@@ -243,10 +243,20 @@ def semiorder_from_matrix(rows) -> Semiorder:
 
 
 def induced(s: Semiorder, elements) -> Semiorder:
-    """Induced sub-semiorder on a subset of elements (1-based indices)."""
+    """Induced sub-semiorder on a subset of elements (1-based indices).
+
+    Down-sets are suffixes, so a chosen element e sits above exactly the
+    chosen indices beyond n - r_e; that threshold only moves right.
+    """
     chosen = sorted(set(elements))
-    rows = [[s.greater(i, j) for j in chosen] for i in chosen]
-    return semiorder_from_matrix(rows)
+    counts: list[int] = []
+    passed = 0  # chosen indices at or before the current threshold
+    for e in chosen:
+        threshold = s.n - s.rho[e - 1]
+        while passed < len(chosen) and chosen[passed] <= threshold:
+            passed += 1
+        counts.append(len(chosen) - passed)
+    return Semiorder(tuple(counts))
 
 
 def split(s: Semiorder) -> tuple[Semiorder, Semiorder]:
@@ -255,24 +265,24 @@ def split(s: Semiorder) -> tuple[Semiorder, Semiorder]:
     Starting from the rightmost first-level element a_1, grow the chain of
     sets T_1 = {a_1}, T_{i+1} = level-(i+1) elements below something in
     T_i.  S1 is induced on the complement of their union, S3 on the union
-    minus a_1 itself.
+    minus a_1 itself.  Each T_i is a suffix of its level whose leftmost
+    element t reaches furthest, so T_{i+1} is the part of level i+1 beyond
+    n - r_t.
     """
     if s.n == 0:
         raise EmptySemiorderError("cannot split the empty semiorder")
-    prof = level_profile(s)
-    a1 = prof.sizes[0]  # largest index on level 1
-    reached = {a1}
-    frontier = [a1]
-    for lv in range(2, len(prof.sizes) + 1):
-        frontier = [
-            j for j in prof.elements_on(lv) if any(s.greater(i, j) for i in frontier)
-        ]
-        if not frontier:
+    sizes = level_profile(s).sizes
+    top = end = sizes[0]  # a_1, the largest index on level 1
+    reached = [top]
+    for size in sizes[1:]:
+        end += size
+        top = s.n - s.rho[top - 1] + 1
+        if top > end:
             break
-        reached.update(frontier)
-    part1 = [e for e in range(1, s.n + 1) if e not in reached]
-    s1 = induced(s, part1)
-    s3 = induced(s, reached - {a1})
+        reached.extend(range(top, end + 1))
+    in_chain = set(reached)
+    s1 = induced(s, (e for e in range(1, s.n + 1) if e not in in_chain))
+    s3 = induced(s, reached[1:])
     return s1, s3
 
 
@@ -282,36 +292,16 @@ def join(s1: Semiorder, s3: Semiorder) -> Semiorder:
     A new top element is placed above all of S3 (giving S2); then levels
     are merged side by side with every level-(i-1) element of S1 above all
     level-i elements of S2, plus the forced relations between levels two
-    or more apart.
+    or more apart.  The result is read off the below-counts: an S1 element
+    on level L also covers the S2 elements on levels L+1 and deeper, an S2
+    element on level L the S1 elements on levels L+2 and deeper.
     """
     s2 = Semiorder((s3.n,) + s3.rho)
-    members: list[tuple[str, int]] = []
-    levels: list[int] = []
-    if s1.n:
-        prof1 = level_profile(s1)
-        for i in range(1, s1.n + 1):
-            members.append(("a", i))
-            levels.append(prof1.level_of[i - 1])
-    prof2 = level_profile(s2)
-    for j in range(1, s2.n + 1):
-        members.append(("b", j))
-        levels.append(prof2.level_of[j - 1])
-    n = len(members)
-    rows = [[False] * n for _ in range(n)]
-    for x in range(n):
-        px, ex = members[x]
-        for y in range(n):
-            if x == y:
-                continue
-            py, ey = members[y]
-            if px == py:
-                part = s1 if px == "a" else s2
-                rows[x][y] = part.greater(ex, ey)
-            elif levels[y] - levels[x] >= 2:
-                rows[x][y] = True
-            elif px == "a" and py == "b" and levels[y] - levels[x] == 1:
-                rows[x][y] = True
-    return semiorder_from_matrix(rows)
+    levels1 = level_profile(s1).level_of if s1.n else ()
+    levels2 = level_profile(s2).level_of
+    counts = [r + len(levels2) - bisect_left(levels2, lv + 1) for r, lv in zip(s1.rho, levels1)]
+    counts += [r + len(levels1) - bisect_left(levels1, lv + 2) for r, lv in zip(s2.rho, levels2)]
+    return Semiorder.from_counts(counts)
 
 
 def equivalence_classes(s: Semiorder) -> list[range]:

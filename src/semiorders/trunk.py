@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
 
 from .core import LengthTooLargeError, Semiorder, level_profile
 from .counting import catalan
-from .trees import DyckPath
+from .trees import DyckPath, all_dyck_words
 
 
 class NotAPermutationError(ValueError):
@@ -101,6 +100,27 @@ def trunk_tree(s: Semiorder, sigma) -> TrunkTree:
     return TrunkTree(tuple(leaves))
 
 
+def _distinct_shapes(s: Semiorder) -> list[tuple[int, ...]]:
+    """Sorted leaf counts of {T(s, sigma)} over all permutations sigma.
+
+    T(s, sigma) only depends on the right-to-left minima (p_1, v_1), ...,
+    (p_k, v_k) of sigma: lower element i hangs off the minimum with the
+    largest v_j <= t_i, so trunk position p_j carries r_{v_j} - r_{v_{j+1}}
+    leaves (r_{v_{k+1}} = 0).  The C_m possible minima sets are read off the
+    Dyck words of semilength m.
+    """
+    m = upper_count(s)
+    shapes = set()
+    for path in all_dyck_words(m):
+        pairs = dyck_to_rtlm(path)
+        below = [s.rho[value - 1] for _, value in pairs] + [0]
+        leaves = [0] * m
+        for j, (pos, _) in enumerate(pairs):
+            leaves[pos - 1] = below[j] - below[j + 1]
+        shapes.add(tuple(leaves))
+    return sorted(shapes)
+
+
 def count_trunk_trees(s: Semiorder) -> int:
     """Size of {T(s, sigma) : sigma over all permutations of the trunk}.
 
@@ -116,8 +136,7 @@ def count_trunk_trees(s: Semiorder) -> int:
                 f"the count may fall short of C_{m} = {catalan(m)}"
             )
         )
-    shapes = {trunk_tree(s, sigma).leaf_counts for sigma in permutations(range(1, m + 1))}
-    return len(shapes)
+    return len(_distinct_shapes(s))
 
 
 def narayana(m: int, k: int) -> int:

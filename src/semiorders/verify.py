@@ -122,6 +122,8 @@ def run_suite(suite: str, max_n: int = 8) -> tuple[list[str], bool]:
     """Run one suite (or ``all``); returns (report lines, all passed)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if max_n < 1:
+        raise ValueError(f"need max_n >= 1; got {max_n}")
     runners = {
         "bijection": suite_bijection,
         "recurrences": suite_recurrences,

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior: golden outputs and exit codes."""
 
 import io
+from itertools import permutations
 
 from semiorders.cli import run
+from semiorders.core import Semiorder
+from semiorders.trunk import trunk_tree, upper_count
 
 
 def invoke(argv):
@@ -32,6 +35,16 @@ class TestCount:
             )
             assert code == 0
             assert text == "59224\n"
+
+    def test_labeled_rejects_mode(self, capsys):
+        code, text = invoke(["count", "--n", "4", "--height", "1", "--labeled", "--mode", "trig"])
+        assert (code, text) == (1, "")
+        assert "--mode" in capsys.readouterr().err
+
+    def test_labeled_rejects_check(self, capsys):
+        code, text = invoke(["count", "--n", "4", "--height", "1", "--labeled", "--check"])
+        assert (code, text) == (1, "")
+        assert "--check" in capsys.readouterr().err
 
     def test_closed_unavailable_is_usage_error(self):
         code, _ = invoke(["count", "--n", "5", "--height", "2", "--mode", "closed"])
@@ -119,6 +132,14 @@ class TestTrunkTrees:
         assert (code, text) == (0, "1\n")
         assert "distinct" in capsys.readouterr().err
 
+    def test_listing_matches_permutation_definition(self):
+        for rho in ("7,5,4,2,1,0,0,0,0,0,0,0", "3,3,1,0,0,0", "4,2,2,1,0,0,0,0", "0,0,0"):
+            s = Semiorder.from_text(rho)
+            m = upper_count(s)
+            shapes = sorted({trunk_tree(s, sigma).leaf_counts for sigma in permutations(range(1, m + 1))})
+            expected = "".join(",".join(str(c) for c in shape) + "\n" for shape in shapes)
+            assert invoke(["trunk-trees", "--rho", rho]) == (0, expected)
+
     def test_too_long_is_usage_error(self):
         code, _ = invoke(["trunk-trees", "--rho", "2,1,0", "--count-only"])
         assert code == 1
@@ -136,6 +157,11 @@ class TestVerify:
         code, text = invoke(["verify", "--suite", "all", "--max-n", "3"])
         assert code == 0
         assert all(line.endswith(" OK") for line in text.splitlines())
+
+    def test_zero_max_n_is_usage_error(self, capsys):
+        code, text = invoke(["verify", "--suite", "bijection", "--max-n", "0"])
+        assert (code, text) == (1, "")
+        assert "max_n" in capsys.readouterr().err
 
 
 class TestUsageErrors:

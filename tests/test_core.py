@@ -1,8 +1,11 @@
 """Vector validation, order relation, levels, bad elements, split/join,
 and contraction/expansion."""
 
+import random
+
 import pytest
 
+from semiorders.bijection import dyck_to_semiorder
 from semiorders.core import (
     EmptySemiorderError,
     EntryTooLargeError,
@@ -23,6 +26,7 @@ from semiorders.core import (
 )
 from semiorders.counting import count_leq
 from semiorders.oracle import enumerate_semiorders
+from semiorders.trees import DyckPath
 
 
 def closure(n, edges):
@@ -40,6 +44,68 @@ def closure(n, edges):
                             rows[i][k] = True
                             changed = True
     return tuple(tuple(r) for r in rows)
+
+
+def random_semiorder(rng, n):
+    """Uniform n-element semiorder: a uniform Dyck word through the bijection.
+
+    Shuffle n up and n + 1 down steps and rotate past the first lowest
+    point (cycle lemma); dropping the final down step leaves a Dyck word.
+    """
+    steps = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(steps)
+    height = lowest = cut = 0
+    for pos, step in enumerate(steps, start=1):
+        height += 1 if step == "U" else -1
+        if height < lowest:
+            lowest, cut = height, pos
+    return dyck_to_semiorder(DyckPath("".join(steps[cut:] + steps[:cut])[:-1]))
+
+
+def chain_depths(rows):
+    """1 + longest chain strictly above each element, from the matrix alone."""
+    depth = []
+    for j in range(len(rows)):  # only smaller indices sit above
+        depth.append(1 + max((depth[i] for i in range(j) if rows[i][j]), default=0))
+    return depth
+
+
+def submatrix(rows, chosen):
+    return [[rows[i - 1][j - 1] for j in chosen] for i in chosen]
+
+
+def matrix_split(s):
+    """Definition-direct split: grow T_1, T_2, ... on the comparability matrix."""
+    rows = comparability(s).rows
+    depth = chain_depths(rows)
+    a1 = max(e for e in range(1, s.n + 1) if depth[e - 1] == 1)
+    reached, frontier, lv = {a1}, {a1}, 1
+    while frontier:
+        lv += 1
+        frontier = {
+            j
+            for j in range(1, s.n + 1)
+            if depth[j - 1] == lv and any(rows[i - 1][j - 1] for i in frontier)
+        }
+        reached |= frontier
+    rest = [e for e in range(1, s.n + 1) if e not in reached]
+    s1 = semiorder_from_matrix(submatrix(rows, rest))
+    s3 = semiorder_from_matrix(submatrix(rows, sorted(reached - {a1})))
+    return s1, s3
+
+
+def matrix_join(s1, s3):
+    """Definition-direct join: S1 beside S2 = S3 under a new top, as a matrix."""
+    parts = [comparability(s1).rows, comparability(Semiorder((s3.n,) + s3.rho)).rows]
+    members = [(p, e, d) for p, rows in enumerate(parts) for e, d in enumerate(chain_depths(rows))]
+    rows = [
+        [
+            parts[p][x][y] if p == q else dy - dx >= 2 or (p, q, dy - dx) == (0, 1, 1)
+            for q, y, dy in members
+        ]
+        for p, x, dx in members
+    ]
+    return semiorder_from_matrix(rows)
 
 
 class TestFromVector:
@@ -136,6 +202,15 @@ class TestLevelProfile:
             prof = level_profile(s)
             assert all(size >= 1 for size in prof.sizes)
             assert sum(prof.sizes) == n
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_longest_chain_on_random_vectors(self, seed):
+        rng = random.Random(seed)
+        s = random_semiorder(rng, rng.randint(1, 80))
+        depth = chain_depths(comparability(s).rows)
+        prof = level_profile(s)
+        assert prof.level_of == tuple(depth)
+        assert prof.sizes == tuple(depth.count(lv) for lv in range(1, max(depth) + 1))
 
 
 def independent_bad_levels(s):
@@ -298,6 +373,26 @@ class TestSplitJoin:
                         images.add(s)
             assert len(images) == count_leq(n, h)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_split_matches_matrix_reference(self, seed):
+        rng = random.Random(seed)
+        s = random_semiorder(rng, rng.randint(1, 80))
+        assert split(s) == matrix_split(s)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_join_matches_matrix_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 80)
+        t = rng.randint(0, n)
+        s1, s3 = random_semiorder(rng, t), random_semiorder(rng, n - t)
+        assert join(s1, s3) == matrix_join(s1, s3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_roundtrip_on_large_random_vectors(self, seed):
+        rng = random.Random(seed)
+        s = random_semiorder(rng, rng.randint(100, 300))
+        assert join(*split(s)) == s
+
 
 class TestContraction:
     def test_antichain(self):
@@ -365,3 +460,11 @@ class TestMatrixCanonicalization:
         s = Semiorder((7, 6, 4, 2, 2, 1, 1, 1, 0))
         assert induced(s, [1, 3, 6, 7]) == Semiorder((3, 2, 0, 0))
         assert induced(s, range(1, 10)) == s
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_induced_matches_submatrix(self, seed):
+        rng = random.Random(seed)
+        s = random_semiorder(rng, rng.randint(1, 80))
+        chosen = sorted(rng.sample(range(1, s.n + 1), rng.randint(0, s.n)))
+        reference = semiorder_from_matrix(submatrix(comparability(s).rows, chosen))
+        assert induced(s, reversed(chosen)) == reference

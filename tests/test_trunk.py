@@ -1,11 +1,13 @@
 """Trunk trees, right-to-left minima, and the peak bijection with Dyck paths."""
 
+import warnings
 from itertools import permutations
 
 import pytest
 
-from semiorders.core import LengthTooLargeError, Semiorder
+from semiorders.core import LengthTooLargeError, Semiorder, level_profile
 from semiorders.counting import catalan
+from semiorders.oracle import enumerate_semiorders
 from semiorders.trees import all_dyck_words
 from semiorders.trunk import (
     HypothesisViolatedWarning,
@@ -94,6 +96,18 @@ class TestCounting:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_staircases(self, m):
         assert count_trunk_trees(staircase(m)) == catalan(m)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_permutation_definition(self, n):
+        # every length-<=1 vector, repeated upper entries included
+        for s in enumerate_semiorders(n):
+            if level_profile(s).length > 1:
+                continue
+            m = upper_count(s)
+            shapes = {trunk_tree(s, sigma) for sigma in permutations(range(1, m + 1))}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", HypothesisViolatedWarning)
+                assert count_trunk_trees(s) == len(shapes)
 
     def test_flagged_when_uppers_repeat(self):
         with pytest.warns(HypothesisViolatedWarning):
