@@ -12,14 +12,15 @@ stage vectors are
                x_{i+1} fresh zeros)
 
 and R^{H+1} is the canonical vector of the image semiorder.  The deepest
-x_{H+1} nodes become the good elements.  Composing with the tree/Dyck walk
-transports everything to Dyck paths, and a separate two-level arrangement
-map handles length <= 1 directly.
+x_{H+1} nodes become the good elements.  Both directions read or write
+the Dyck word, so trees enter only through the tree/Dyck walk; a separate
+two-level arrangement map handles length <= 1 directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 from .core import LengthTooLargeError, Semiorder, level_profile
 from .trees import DyckPath, OrderedTree, dyck_to_tree, tree_to_dyck
@@ -45,35 +46,62 @@ class LevelLinkage:
     cumulative: tuple[int, ...]
 
 
+def _read_linkage(word: str) -> LevelLinkage:
+    """Read x, s, u, y off a Dyck word in one pass.
+
+    The walk meets the nodes of each depth left to right, and a node's
+    parent is the last node already met one level up.
+    """
+    counts = [[0]]  # counts[d]: child counts of the depth-d nodes met so far
+    depth = 0
+    for step in word:
+        if step == "U":
+            counts[depth][-1] += 1
+            depth += 1
+            if depth == len(counts):
+                counts.append([])
+            counts[depth].append(0)
+        else:
+            depth -= 1
+    child_counts = tuple(tuple(c) for c in counts[:-1])
+    sizes = tuple(len(c) for c in counts[1:])
+    suffix_sums = tuple(tuple(accumulate(reversed(c)))[::-1] for c in child_counts)
+    return LevelLinkage(sizes, child_counts, suffix_sums, tuple(accumulate(sizes)))
+
+
+def _stage(link: LevelLinkage, depth: int) -> tuple[int, ...]:
+    """R^depth entry by entry, as the recurrence leaves it: a node j at depth
+    i < depth holds u_j^{i+1} plus the size of depths i+2..depth, and the
+    nodes at depth ``depth`` hold 0."""
+    y = link.cumulative[depth - 1]
+    pairs = zip(link.suffix_sums[1:depth], link.cumulative[1:depth])
+    return tuple(u + y - c for us, c in pairs for u in us) + (0,) * link.sizes[depth - 1]
+
+
+def _write_word(child_counts) -> str:
+    """Preorder walk of the tree with these per-depth child counts.
+
+    The walk meets the nodes of each depth left to right, so the node it
+    enters at depth d takes the next count of ``child_counts[d]``.
+    """
+    pending = [iter(c) for c in child_counts] + [repeat(0)]
+    steps: list[str] = []
+    left = [next(pending[0])]  # children still to enter, per node on the path
+    while left:
+        if left[-1]:
+            left[-1] -= 1
+            steps.append("U")
+            left.append(next(pending[len(left)]))
+        else:
+            left.pop()
+            steps.append("D")
+    steps.pop()  # leaving the root is not a step
+    return "".join(steps)
+
+
 def level_linkage(tree: OrderedTree) -> LevelLinkage:
-    """Read x, s, u, y off a tree by scanning depths left to right."""
-    generations: list[list[OrderedTree]] = []
-    current = [tree]
-    while True:
-        nxt = [child for node in current for child in node.children]
-        if not nxt:
-            break
-        generations.append(nxt)
-        current = nxt
-    sizes = tuple(len(g) for g in generations)
-    parents = [[tree]] + generations[:-1]
-    child_counts = tuple(
-        tuple(len(p.children) for p in parents[i]) for i in range(len(generations))
-    )
-    suffix_sums = []
-    for counts in child_counts:
-        total = 0
-        sums = []
-        for c in reversed(counts):
-            total += c
-            sums.append(total)
-        suffix_sums.append(tuple(reversed(sums)))
-    cumulative = []
-    running = 0
-    for x in sizes:
-        running += x
-        cumulative.append(running)
-    return LevelLinkage(sizes, child_counts, tuple(suffix_sums), tuple(cumulative))
+    """Read x, s, u, y off a tree's Dyck word."""
+    return _read_linkage(tree_to_dyck(tree).word)
 
 
 def construction_stages(tree: OrderedTree) -> tuple[tuple[int, ...], ...]:
@@ -82,32 +110,26 @@ def construction_stages(tree: OrderedTree) -> tuple[tuple[int, ...], ...]:
     Empty for the single-node tree, which maps to the empty semiorder.
     """
     link = level_linkage(tree)
-    depth_count = len(link.sizes)
-    if depth_count == 0:
-        return ()
-    stages = []
-    r = [0] * link.sizes[0]
-    stages.append(tuple(r))
-    for i in range(1, depth_count):
-        x_next = link.sizes[i]
-        u_next = link.suffix_sums[i]
-        base = len(r) - link.sizes[i - 1]
-        r = (
-            [v + x_next for v in r[:base]]
-            + [r[base + j] + u_next[j] for j in range(link.sizes[i - 1])]
-            + [0] * x_next
-        )
-        stages.append(tuple(r))
-    return tuple(stages)
+    return tuple(_stage(link, depth) for depth in range(1, len(link.sizes) + 1))
 
 
 def tree_to_semiorder(tree: OrderedTree) -> Semiorder:
     """Map an (n+1)-node tree of height H+1 to an n-element length-H semiorder."""
-    stages = construction_stages(tree)
-    return Semiorder(stages[-1]) if stages else Semiorder(())
+    return dyck_to_semiorder(tree_to_dyck(tree))
 
 
 def semiorder_to_tree(s: Semiorder) -> OrderedTree:
+    """Inverse of tree_to_semiorder, through the Dyck word."""
+    return dyck_to_tree(semiorder_to_dyck(s))
+
+
+def dyck_to_semiorder(path: DyckPath) -> Semiorder:
+    """Height-(H+1) Dyck word to length-H semiorder: R^{H+1} of its linkage."""
+    link = _read_linkage(path.word)
+    return Semiorder(_stage(link, len(link.sizes)) if link.sizes else ())
+
+
+def semiorder_to_dyck(s: Semiorder) -> DyckPath:
     """Inverse construction: recover the child counts level by level.
 
     For the j-th element on level i, u_j^{i+1} is its vector entry minus
@@ -116,37 +138,19 @@ def semiorder_to_tree(s: Semiorder) -> OrderedTree:
     parents left to right in consecutive runs.
     """
     if s.n == 0:
-        return OrderedTree()
-    prof = level_profile(s)
-    x = prof.sizes
-    depth_count = len(x)
+        return DyckPath("")
+    x = level_profile(s).sizes
     child_counts: list[tuple[int, ...]] = [(x[0],)]
-    for i in range(1, depth_count):
-        deeper = sum(x[i + 1 :])
-        u = [s.rho[e - 1] - deeper for e in prof.elements_on(i)]
-        u.append(0)
+    end = 0
+    for i in range(1, len(x)):
+        start, end = end, end + x[i - 1]
+        deeper = s.n - end - x[i]
+        u = [r - deeper for r in s.rho[start:end]] + [0]
         drops = tuple(u[j] - u[j + 1] for j in range(len(u) - 1))
-        if any(d < 0 for d in drops) or u[-2] < 0 or sum(drops) != x[i]:
+        if any(d < 0 for d in drops) or sum(drops) != x[i]:
             raise ValueError("vector does not encode a level-linked tree")
         child_counts.append(drops)
-    nodes = [OrderedTree()] * x[-1]
-    for depth in range(depth_count - 1, 0, -1):
-        rebuilt = []
-        pos = 0
-        for c in child_counts[depth]:
-            rebuilt.append(OrderedTree(tuple(nodes[pos : pos + c])))
-            pos += c
-        nodes = rebuilt
-    return OrderedTree(tuple(nodes))
-
-
-def dyck_to_semiorder(path: DyckPath) -> Semiorder:
-    """Height-(H+1) Dyck word to length-H semiorder, through the tree walk."""
-    return tree_to_semiorder(dyck_to_tree(path))
-
-
-def semiorder_to_dyck(s: Semiorder) -> DyckPath:
-    return tree_to_dyck(semiorder_to_tree(s))
+    return DyckPath(_write_word(child_counts))
 
 
 def arrangement_to_semiorder(n: int, upper) -> Semiorder:

@@ -30,7 +30,8 @@ def _build_parser() -> _Parser:
     count.add_argument("--labeled", action="store_true")
     count.add_argument("--mode", choices=counting.METHODS,
                        help="unlabeled route; 'closed' always reports the at-most count")
-    count.add_argument("--check", action="store_true", help="cross-check against the series route")
+    count.add_argument("--check", action="store_true",
+                       help="cross-check against the series route (alternating for --mode series)")
 
     enum = sub.add_parser("enumerate", help="list all n-element semiorders")
     enum.add_argument("--n", type=int, required=True)
@@ -88,9 +89,10 @@ def _cmd_count(args, out) -> int:
     counter = counting.count_leq if mode == "closed" or args.at_most else counting.count_exact
     value = counter(args.n, args.height, mode)
     if args.check:
-        reference = counter(args.n, args.height, "series")
+        route = "alternating" if mode == "series" else "series"
+        reference = counter(args.n, args.height, route)
         if reference != value:
-            print(f"cross-check failed: {value} != series {reference}", file=sys.stderr)
+            print(f"cross-check failed: {value} != {route} {reference}", file=sys.stderr)
             return 2
     print(value, file=out)
     return 0

@@ -84,6 +84,8 @@ class CountTable:
     def _t(self, n: int, h: int, k: int) -> int:
         if h == 0:
             return 1 if n == k else 0
+        if h >= n:  # a chain of h edges needs h + 1 elements
+            return 0
         key = (n, h, k)
         cached = self._memo.get(key)
         if cached is None:
@@ -216,9 +218,10 @@ def _dec_pi() -> Decimal:
     return result
 
 
-def _dec_sin(x: Decimal) -> Decimal:
+def _dec_taylor(x: Decimal, i: int, term: Decimal) -> Decimal:
+    """sin or cos of x by its Taylor series: term x^i / i! first, i = 1 or 0."""
     getcontext().prec += 2
-    i, lasts, s, fact, num, sign = 1, Decimal(0), x, 1, x, 1
+    lasts, s, fact, num, sign = Decimal(0), term, 1, term, 1
     while s != lasts:
         lasts = s
         i += 2
@@ -228,20 +231,14 @@ def _dec_sin(x: Decimal) -> Decimal:
         s += num / fact * sign
     getcontext().prec -= 2
     return +s
+
+
+def _dec_sin(x: Decimal) -> Decimal:
+    return _dec_taylor(x, 1, x)
 
 
 def _dec_cos(x: Decimal) -> Decimal:
-    getcontext().prec += 2
-    i, lasts, s, fact, num, sign = 0, Decimal(0), Decimal(1), 1, Decimal(1), 1
-    while s != lasts:
-        lasts = s
-        i += 2
-        fact *= i * (i - 1)
-        num *= x * x
-        sign *= -1
-        s += num / fact * sign
-    getcontext().prec -= 2
-    return +s
+    return _dec_taylor(x, 0, Decimal(1))
 
 
 def trig_estimate(n: int, h: int, digits: int | None = None) -> tuple[int, float]:

@@ -91,17 +91,17 @@ def enumerate_semiorders(n: int, force: bool = False):
     if n < 0 or (n > VECTOR_BOUND and not force):
         raise BoundExceededError(n, VECTOR_BOUND)
 
-    def rec(prefix: list[int], i: int):
-        if i > n:
-            yield Semiorder(tuple(prefix))
+    # successor: raise the rightmost r_i below min(r_{i-1}, n - i), zero the rest
+    rho = [0] * n
+    while True:
+        yield Semiorder(tuple(rho))
+        i = n - 1
+        while i >= 0 and rho[i] == min(rho[i - 1] if i else n - 1, n - 1 - i):
+            i -= 1
+        if i < 0:
             return
-        cap = min(prefix[-1] if prefix else n - 1, n - i)
-        for r in range(cap + 1):
-            prefix.append(r)
-            yield from rec(prefix, i + 1)
-            prefix.pop()
-
-    yield from rec([], 1)
+        rho[i] += 1
+        rho[i + 1 :] = [0] * (n - 1 - i)
 
 
 def has_pattern(poset: GenericPoset, pattern: Pattern) -> bool:

@@ -4,7 +4,8 @@ Trees serialize to balanced parentheses, one ``( ... )`` pair per node with
 the root included; Dyck words are ASCII strings over ``U``/``D``.  The walk
 visits children left to right, emitting U on entering a child and D on
 leaving it, so a tree with n+1 nodes and height H maps to a word of
-semilength n and height H.
+semilength n and height H.  A tree's text is that word, ``(``/``)`` for
+``U``/``D``, inside the root's pair; only the two walks visit children.
 """
 
 from __future__ import annotations
@@ -38,38 +39,38 @@ class OrderedTree:
 
     @property
     def node_count(self) -> int:
-        return 1 + sum(c.node_count for c in self.children)
+        return 1 + tree_to_dyck(self).semilength
 
     @property
     def height(self) -> int:
         """Maximum edge-depth; 0 for a single node."""
-        return 1 + max(c.height for c in self.children) if self.children else 0
+        return tree_to_dyck(self).height
 
     @classmethod
     def from_text(cls, text: str) -> "OrderedTree":
-        tree, end = _parse_node(text, 0)
-        if end != len(text):
-            raise TrailingInputError(end)
-        return tree
+        """Parse the root's pair of parentheses around the tree's Dyck word."""
+        depth = 0
+        for pos, char in enumerate(text):
+            depth += 1 if char == "(" else -1
+            if depth < 0 or char not in "()":
+                raise UnbalancedParensError(pos)
+            if depth == 0:
+                break
+        else:
+            raise UnbalancedParensError(len(text))
+        if pos + 1 != len(text):
+            raise TrailingInputError(pos + 1)
+        return dyck_to_tree(DyckPath(text[1:pos].translate(_FROM_PARENS)))
 
     def to_text(self) -> str:
-        return "(" + "".join(c.to_text() for c in self.children) + ")"
+        return "(" + tree_to_dyck(self).word.translate(_TO_PARENS) + ")"
 
     def __str__(self) -> str:
         return self.to_text()
 
 
-def _parse_node(text: str, pos: int) -> tuple[OrderedTree, int]:
-    if pos >= len(text) or text[pos] != "(":
-        raise UnbalancedParensError(pos)
-    pos += 1
-    children = []
-    while pos < len(text) and text[pos] == "(":
-        child, pos = _parse_node(text, pos)
-        children.append(child)
-    if pos >= len(text) or text[pos] != ")":
-        raise UnbalancedParensError(pos)
-    return OrderedTree(tuple(children)), pos + 1
+_FROM_PARENS = str.maketrans("()", "UD")
+_TO_PARENS = str.maketrans("UD", "()")
 
 
 @dataclass(frozen=True)
@@ -119,33 +120,29 @@ class DyckPath:
 def tree_to_dyck(tree: OrderedTree) -> DyckPath:
     """Preorder walk: U entering each child, D leaving it."""
     steps: list[str] = []
-
-    def walk(node: OrderedTree) -> None:
-        for child in node.children:
+    stack = [iter(tree.children)]
+    while stack:
+        for child in stack[-1]:  # the next child not yet entered, if any
             steps.append("U")
-            walk(child)
+            stack.append(iter(child.children))
+            break
+        else:
+            stack.pop()
             steps.append("D")
-
-    walk(tree)
+    steps.pop()  # leaving the root is not a step
     return DyckPath("".join(steps))
 
 
 def dyck_to_tree(path: DyckPath) -> OrderedTree:
-    """Inverse walk; the word's validity is established by DyckPath itself."""
-    root: list = []
-    stack = [root]
+    """Inverse walk of a word DyckPath has checked; a node freezes on its D step."""
+    stack: list[list[OrderedTree]] = [[]]
     for step in path.word:
         if step == "U":
-            child: list = []
-            stack[-1].append(child)
-            stack.append(child)
+            stack.append([])
         else:
-            stack.pop()
-
-    def freeze(node: list) -> OrderedTree:
-        return OrderedTree(tuple(freeze(c) for c in node))
-
-    return freeze(root)
+            node = OrderedTree(tuple(stack.pop()))
+            stack[-1].append(node)
+    return OrderedTree(tuple(stack[0]))
 
 
 def all_trees(node_count: int):

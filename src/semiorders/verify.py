@@ -30,6 +30,8 @@ def suite_bijection(max_n: int) -> list[str]:
             ok &= profile.length + 1 == tree.height
             ok &= s not in images
             ok &= bijection.semiorder_to_tree(s) == tree
+            path = trees.tree_to_dyck(tree)
+            ok &= bijection.dyck_to_semiorder(path) == s and bijection.semiorder_to_dyck(s) == path
             images[s] = tree
         for s in oracle.enumerate_semiorders(n):
             ok &= bijection.tree_to_semiorder(bijection.semiorder_to_tree(s)) == s

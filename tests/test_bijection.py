@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from semiorders.bijection import (
     IndexOutOfRangeError,
+    LevelLinkage,
     arrangement_to_semiorder,
     construction_stages,
     dyck_to_semiorder,
@@ -22,6 +23,12 @@ from semiorders.oracle import enumerate_semiorders
 from semiorders.trees import DyckPath, OrderedTree, all_dyck_words, all_trees
 
 TEN_NODE_TREE = "(((()()))(()((()))))"
+
+random_trees = st.recursive(
+    st.just(OrderedTree()),
+    lambda inner: st.lists(inner, max_size=4).map(lambda kids: OrderedTree(tuple(kids))),
+    max_leaves=30,
+)
 
 
 @st.composite
@@ -74,6 +81,51 @@ class TestLinkageInvariants:
                 u = link.suffix_sums[i]
                 assert u[0] == link.sizes[i]
                 assert all(a >= b for a, b in zip(u, u[1:]))
+
+    @given(random_trees)
+    def test_matches_breadth_first_reference(self, tree):
+        link = level_linkage(tree)
+        assert link == breadth_first_linkage(tree)
+        assert construction_stages(tree) == recurrence_stages(link)
+
+
+def breadth_first_linkage(tree):
+    """Linkage read generation by generation off the tree objects."""
+    generations = []
+    current = [tree]
+    while True:
+        nxt = [child for node in current for child in node.children]
+        if not nxt:
+            break
+        generations.append(nxt)
+        current = nxt
+    sizes = tuple(len(g) for g in generations)
+    parents = [[tree]] + generations[:-1]
+    child_counts = tuple(
+        tuple(len(p.children) for p in parents[i]) for i in range(len(generations))
+    )
+    suffix_sums = tuple(
+        tuple(sum(counts[j:]) for j in range(len(counts))) for counts in child_counts
+    )
+    cumulative = tuple(sum(sizes[: i + 1]) for i in range(len(sizes)))
+    return LevelLinkage(sizes, child_counts, suffix_sums, cumulative)
+
+
+def recurrence_stages(link):
+    """R^1..R^{H+1} by the paper's level-by-level recurrence."""
+    if not link.sizes:
+        return ()
+    r = [0] * link.sizes[0]
+    stages = [tuple(r)]
+    for i in range(1, len(link.sizes)):
+        base = len(r) - link.sizes[i - 1]
+        r = (
+            [v + link.sizes[i] for v in r[:base]]
+            + [r[base + j] + u for j, u in enumerate(link.suffix_sums[i])]
+            + [0] * link.sizes[i]
+        )
+        stages.append(tuple(r))
+    return tuple(stages)
 
 
 class TestDegenerateShapes:

@@ -3,6 +3,7 @@
 import io
 from itertools import permutations
 
+from semiorders import counting
 from semiorders.cli import run
 from semiorders.core import Semiorder
 from semiorders.trunk import trunk_tree, upper_count
@@ -35,6 +36,12 @@ class TestCount:
             )
             assert code == 0
             assert text == "59224\n"
+
+    def test_series_check_uses_another_route(self, monkeypatch, capsys):
+        monkeypatch.setattr(counting, "_leq_alternating", lambda n, h: 0)
+        code, text = invoke(["count", "--n", "12", "--height", "4", "--mode", "series", "--check"])
+        assert (code, text) == (2, "")
+        assert "alternating" in capsys.readouterr().err
 
     def test_labeled_rejects_mode(self, capsys):
         code, text = invoke(["count", "--n", "4", "--height", "1", "--labeled", "--mode", "trig"])
@@ -95,6 +102,18 @@ class TestMap:
     def test_empty_vector_to_tree(self):
         code, text = invoke(["map", "--from", "vector", "--to", "tree", "--input", ""])
         assert (code, text) == (0, "()\n")
+
+    def test_deep_inputs_every_direction(self):
+        depth = 5000
+        forms = {
+            "vector": ",".join(str(r) for r in range(depth - 1, -1, -1)),
+            "tree": "(" * (depth + 1) + ")" * (depth + 1),
+            "dyck": "U" * depth + "D" * depth,
+        }
+        for source, text in forms.items():
+            for target, expected in forms.items():
+                argv = ["map", "--from", source, "--to", target, "--input", text]
+                assert invoke(argv) == (0, expected + "\n"), (source, target)
 
     def test_invalid_vector_is_usage_error(self):
         code, _ = invoke(["map", "--from", "vector", "--to", "tree", "--input", "2,2,0"])

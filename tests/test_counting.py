@@ -57,6 +57,13 @@ class TestCountByGood:
             with pytest.raises(InvalidParametersError):
                 count_by_good(*bad)
 
+    def test_too_long_is_zero_and_not_memoised(self):
+        table = CountTable()
+        for n in (1, 5, 12):
+            for h in (n, n + 1, 2 * n + 3):
+                assert [table.t(n, h, k) for k in range(1, n + 1)] == [0] * n
+        assert table._memo == {}
+
     def test_table_bound(self):
         table = CountTable(max_n=4)
         assert table.t(4, 1, 2) == count_by_good(4, 1, 2)

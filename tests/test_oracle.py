@@ -1,5 +1,7 @@
 """Brute-force ground truth: vector enumeration, generic posets, patterns."""
 
+from itertools import islice
+
 import pytest
 
 from semiorders.core import Semiorder, comparability
@@ -29,10 +31,33 @@ class TestEnumerateSemiorders:
     def test_catalan_many(self, n):
         assert sum(1 for _ in enumerate_semiorders(n)) == catalan(n)
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_order_matches_recursive_generator(self, n):
+        assert [s.rho for s in enumerate_semiorders(n)] == list(recursive_vectors(n))
+
+    def test_forced_deep_start(self):
+        first = [s.rho for s in islice(enumerate_semiorders(1500, force=True), 3)]
+        assert first == [(0,) * 1500, (1,) + (0,) * 1499, (1, 1) + (0,) * 1498]
+
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             list(enumerate_semiorders(15))
         assert next(enumerate_semiorders(15, force=True)) == Semiorder((0,) * 15)
+
+
+def recursive_vectors(n):
+    """The one-generator-per-entry enumeration the successor loop replaced."""
+
+    def rec(prefix, i):
+        if i > n:
+            yield tuple(prefix)
+            return
+        for r in range(min(prefix[-1] if prefix else n - 1, n - i) + 1):
+            prefix.append(r)
+            yield from rec(prefix, i + 1)
+            prefix.pop()
+
+    yield from rec([], 1)
 
 
 def poset_from_pairs(n, pairs):

@@ -60,6 +60,44 @@ class TestTreeCodec:
     def test_roundtrip_random(self, tree):
         assert OrderedTree.from_text(tree.to_text()) == tree
 
+    @given(st.text(alphabet="()x", max_size=14))
+    def test_errors_match_recursive_parser(self, text):
+        assert parse_outcome(OrderedTree.from_text, text) == parse_outcome(recursive_from_text, text)
+
+    def test_deep_tree(self):
+        text = "(" * 5001 + ")" * 5001
+        tree = OrderedTree.from_text(text)
+        assert (tree.node_count, tree.height) == (5001, 5000)
+        assert tree.to_text() == text
+
+
+def recursive_from_text(text):
+    """The recursive-descent parser the depth scan replaced, as a reference."""
+
+    def node(pos):
+        if pos >= len(text) or text[pos] != "(":
+            raise UnbalancedParensError(pos)
+        pos += 1
+        children = []
+        while pos < len(text) and text[pos] == "(":
+            child, pos = node(pos)
+            children.append(child)
+        if pos >= len(text) or text[pos] != ")":
+            raise UnbalancedParensError(pos)
+        return OrderedTree(tuple(children)), pos + 1
+
+    tree, end = node(0)
+    if end != len(text):
+        raise TrailingInputError(end)
+    return tree
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (UnbalancedParensError, TrailingInputError) as err:
+        return type(err), err.position
+
 
 class TestDyckPath:
     def test_empty(self):
@@ -97,6 +135,10 @@ class TestWalk:
             assert path.semilength == tree.node_count - 1
             assert path.height == tree.height
             assert dyck_to_tree(path) == tree
+
+    def test_deep_walk(self):
+        path = DyckPath("U" * 5000 + "D" * 5000)
+        assert tree_to_dyck(dyck_to_tree(path)) == path
 
     @pytest.mark.parametrize("m", range(10))
     def test_dyck_roundtrip(self, m):
