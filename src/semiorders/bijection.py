@@ -165,11 +165,10 @@ def arrangement_to_semiorder(n: int, upper) -> Semiorder:
     chosen = {int(u) for u in upper}
     if any(u < 2 or u > n for u in chosen):
         raise IndexOutOfRangeError(f"upper indices must lie in 2..{n}")
-    upper_set = {1} | chosen
-    lower = [j for j in range(1, n + 1) if j not in upper_set]
-    counts = [sum(1 for j in lower if j > t) for t in sorted(upper_set)]
-    counts += [0] * len(lower)
-    return Semiorder.from_counts(counts)
+    tops = sorted({1} | chosen)
+    # upper index t, the i-th of m, is above the n - t indices past it less m - i upper ones
+    counts = [n - t - (len(tops) - i) for i, t in enumerate(tops, start=1)]
+    return Semiorder(tuple(counts) + (0,) * (n - len(tops)))
 
 
 def semiorder_to_arrangement(s: Semiorder) -> frozenset[int]:

@@ -15,8 +15,9 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class NegativeEntryError(ValueError):
@@ -204,21 +205,16 @@ def bad_elements(s: Semiorder) -> dict[int, int]:
     above it (or sits on the first level) and above nothing on the level
     immediately below it (or sits on the last level).  Bad elements on one
     level are interchangeable, so the rightmost one represents its level.
+    Both conditions get easier further right, so only that one is checked.
     """
-    prof = level_profile(s)
-    deepest = len(prof.sizes)
+    ends = list(accumulate(level_profile(s).sizes))
+    reach = [s.n - s.rho[end - 1] for end in ends]  # end is above exactly the elements past reach
     found: dict[int, int] = {}
-    for lv in range(1, deepest + 1):
-        for e in reversed(prof.elements_on(lv)):
-            below_all_above = lv == 1 or all(
-                s.greater(i, e) for i in prof.elements_on(lv - 1)
-            )
-            above_none_below = lv == deepest or not any(
-                s.greater(e, j) for j in prof.elements_on(lv + 1)
-            )
-            if below_all_above and above_none_below:
-                found[lv] = e
-                break
+    for lv, end in enumerate(ends, start=1):
+        below_all_above = lv == 1 or end > reach[lv - 2]
+        above_none_below = lv == len(ends) or reach[lv - 1] >= ends[lv]
+        if below_all_above and above_none_below:
+            found[lv] = end
     return found
 
 
@@ -309,16 +305,19 @@ def equivalence_classes(s: Semiorder) -> list[range]:
 
     Two elements are equivalent when they compare identically with every
     other element; in canonical form such elements occupy consecutive
-    indices (equal r and equal up-set).
+    indices with equal r and equal up-set.  The up-set of e is the prefix
+    1..a_e of entries greater than n - e, and a_e only grows with e.
     """
     if s.n == 0:
         raise EmptySemiorderError("empty semiorder has no equivalence classes")
     classes: list[range] = []
-    start = 1
+    start, above, key = 1, 0, (s.rho[0], 0)  # element 1 has an empty up-set
     for e in range(2, s.n + 1):
-        if s.rho[e - 1] != s.rho[start - 1] or up_set(s, e) != up_set(s, start):
+        while s.rho[above] > s.n - e:  # halts by e's own entry, as r_e <= n - e
+            above += 1
+        if (s.rho[e - 1], above) != key:
             classes.append(range(start, e))
-            start = e
+            start, key = e, (s.rho[e - 1], above)
     classes.append(range(start, s.n + 1))
     return classes
 
@@ -332,9 +331,7 @@ def contraction(s: Semiorder) -> tuple[Semiorder, tuple[int, ...]]:
     """
     classes = equivalence_classes(s)
     reps = [c[0] for c in classes]
-    seed_rho = tuple(
-        sum(1 for other in reps if s.greater(rep, other)) for rep in reps
-    )
+    seed_rho = tuple(len(reps) - bisect_right(reps, s.n - s.rho[rep - 1]) for rep in reps)
     return Semiorder(seed_rho), tuple(len(c) for c in classes)
 
 
@@ -345,8 +342,6 @@ def expansion(seed: Semiorder, multiplicities) -> Semiorder:
         raise ValueError("need one multiplicity per seed element")
     if any(m < 1 for m in mults):
         raise ValueError("multiplicities must be positive")
-    counts: list[int] = []
-    for i in range(1, seed.n + 1):
-        below = sum(mults[j - 1] for j in range(1, seed.n + 1) if seed.greater(i, j))
-        counts.extend([below] * mults[i - 1])
-    return Semiorder.from_counts(counts)
+    tail = list(accumulate(reversed(mults), initial=0))[::-1]  # tail[k]: copies of k+1..n
+    # each copy of i is above the copies past n - r_i, so the counts come out nonincreasing
+    return Semiorder(tuple(tail[seed.n - r] for r, m in zip(seed.rho, mults) for _ in range(m)))

@@ -91,6 +91,17 @@ def ordered_bell(n: int) -> int:
     return values[n]
 
 
+def _checked_blocks(blocks) -> tuple[tuple[int, ...], ...]:
+    """Sort each block, and check that the blocks partition 1..n."""
+    blocks = tuple(tuple(sorted(int(x) for x in b)) for b in blocks)
+    labels = [x for b in blocks for x in b]
+    if not all(blocks):
+        raise InvalidPartitionError("blocks must be nonempty")
+    if set(labels) != set(range(1, len(labels) + 1)):  # n distinct labels: none repeats
+        raise InvalidPartitionError("blocks must be disjoint and cover 1..n without gaps")
+    return blocks
+
+
 @dataclass(frozen=True)
 class OrderedSetPartition:
     """Linearly ordered disjoint nonempty blocks covering {1, ..., n}."""
@@ -98,17 +109,7 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(x) for x in b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        seen: set[int] = set()
-        for block in blocks:
-            if not block:
-                raise InvalidPartitionError("blocks must be nonempty")
-            if seen & set(block):
-                raise InvalidPartitionError("blocks must be disjoint")
-            seen |= set(block)
-        if seen and seen != set(range(1, max(seen) + 1)):
-            raise InvalidPartitionError("blocks must cover 1..n without gaps")
+        object.__setattr__(self, "blocks", _checked_blocks(self.blocks))
 
     @property
     def n(self) -> int:
@@ -148,15 +149,9 @@ class LabeledSemiorder:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(x) for x in b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if len(blocks) != self.seed.n:
+        object.__setattr__(self, "blocks", _checked_blocks(self.blocks))
+        if len(self.blocks) != self.seed.n:
             raise InvalidPartitionError("need exactly one label block per seed element")
-        labels = [x for b in blocks for x in b]
-        if not all(blocks) or len(set(labels)) != len(labels) or (
-            labels and set(labels) != set(range(1, len(labels) + 1))
-        ):
-            raise InvalidPartitionError("blocks must partition 1..n")
 
     @property
     def n(self) -> int:

@@ -32,6 +32,13 @@ class BoundExceededError(ValueError):
         self.bound = bound
 
 
+def _check_size(n: int, bound: int, force: bool) -> None:
+    if n < 0:
+        raise ValueError(f"need n >= 0; got {n}")
+    if n > bound and not force:
+        raise BoundExceededError(n, bound)
+
+
 class Pattern(Enum):
     TWO_PLUS_TWO = "2+2"
     THREE_PLUS_ONE = "3+1"
@@ -88,8 +95,7 @@ class GenericPoset:
 
 def enumerate_semiorders(n: int, force: bool = False):
     """Yield every n-element semiorder vector in lexicographic order."""
-    if n < 0 or (n > VECTOR_BOUND and not force):
-        raise BoundExceededError(n, VECTOR_BOUND)
+    _check_size(n, VECTOR_BOUND, force)
 
     # successor: raise the rightmost r_i below min(r_{i-1}, n - i), zero the rest
     rho = [0] * n
@@ -142,8 +148,7 @@ def labeled_posets(n: int, force: bool = False):
     compatible pair (D, U): D down-closed, U up-closed, disjoint, and
     D inside the down-set of every member of U.
     """
-    if n < 0 or (n > POSET_BOUND and not force):
-        raise BoundExceededError(n, POSET_BOUND)
+    _check_size(n, POSET_BOUND, force)
 
     posets: list[tuple[int, ...]] = [()]  # down-set bitmasks per element
     for k in range(n):

@@ -31,11 +31,23 @@ class MalformedDyckWordError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class OrderedTree:
-    """A rooted tree whose children carry a left-to-right order."""
+    """A rooted tree whose children carry a left-to-right order; it compares,
+    hashes and prints through its Dyck word, so none of the three recurses."""
 
     children: tuple["OrderedTree", ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, OrderedTree):
+            return NotImplemented
+        return tree_to_dyck(self).word == tree_to_dyck(other).word
+
+    def __hash__(self):
+        return hash(tree_to_dyck(self).word)
+
+    def __repr__(self) -> str:
+        return f"OrderedTree.from_text({self.to_text()!r})"
 
     @property
     def node_count(self) -> int:

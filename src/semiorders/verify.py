@@ -42,20 +42,19 @@ def suite_bijection(max_n: int) -> list[str]:
 
 def suite_recurrences(max_n: int) -> list[str]:
     lines = []
+    top = max(max_n, 2)
     for h in range(0, 11):
         ok = True
-        for n in range(0, max(max_n, 2) + 1):
+        for n in range(0, top + 1):
             reference = counting.count_leq(n, h, "convolution")
             for method in ("alternating", "series", "trig"):
                 ok &= counting.count_leq(n, h, method) == reference
             if h in (1, 3):
                 ok &= counting.count_leq(n, h, "closed") == reference
-        lines.append(_line(ok, f"recurrences h={h} n<={max(max_n, 2)}"))
-    ok = all(
-        sum(counting.count_exact(n, h) for h in range(n)) == counting.catalan(n)
-        for n in range(1, max(max_n, 2) + 1)
-    )
-    lines.append(_line(ok, f"catalan-marginal n<={max(max_n, 2)}"))
+        lines.append(_line(ok, f"recurrences h={h} n<={top}"))
+    rows = [counting.series_exact(h, top) for h in range(top)]  # rows[h][n] = f(n, h)
+    ok = all(sum(row[n] for row in rows[:n]) == counting.catalan(n) for n in range(1, top + 1))
+    lines.append(_line(ok, f"catalan-marginal n<={top}"))
     return lines
 
 

@@ -1,6 +1,8 @@
 """The tree <-> semiorder construction, its Dyck transport, and the
 two-level arrangement map."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -203,6 +205,14 @@ class TestDyckTransport:
         assert by_height == by_length
 
 
+def pairwise_arrangement(n, upper):
+    """Lower-count of each upper index by scanning every lower one, as a reference."""
+    upper_set = {1} | set(upper)
+    lower = [j for j in range(1, n + 1) if j not in upper_set]
+    counts = [sum(1 for j in lower if j > t) for t in sorted(upper_set)]
+    return Semiorder.from_counts(counts + [0] * len(lower))
+
+
 class TestArrangements:
     def test_ten_element_example(self):
         s = arrangement_to_semiorder(10, {2, 5, 9})
@@ -245,3 +255,10 @@ class TestArrangements:
                 s for s in enumerate_semiorders(n) if level_profile(s).length <= 1
             }
             assert images == short
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 300)
+        chosen = rng.sample(range(2, n + 1), rng.randint(0, n - 1))
+        assert arrangement_to_semiorder(n, chosen) == pairwise_arrangement(n, chosen)

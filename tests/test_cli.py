@@ -78,6 +78,10 @@ class TestEnumerate:
         code, _ = invoke(["enumerate", "--n", "15"])
         assert code == 1
 
+    def test_negative_n_is_usage_error(self, capsys):
+        assert invoke(["enumerate", "--n", "-1"]) == (1, "")
+        assert capsys.readouterr().err == "semiorders: error: need n >= 0; got -1\n"
+
     def test_deterministic(self):
         first = invoke(["enumerate", "--n", "6", "--format", "dyck"])
         second = invoke(["enumerate", "--n", "6", "--format", "dyck"])

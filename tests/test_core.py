@@ -16,6 +16,7 @@ from semiorders.core import (
     comparability,
     contraction,
     down_set,
+    equivalence_classes,
     expansion,
     induced,
     join,
@@ -234,6 +235,23 @@ def independent_bad_levels(s):
     return bad
 
 
+def pairwise_bad_elements(s):
+    """The element-by-element scan the level-end reads replaced, as a reference."""
+    prof = level_profile(s)
+    deepest = len(prof.sizes)
+    found = {}
+    for lv in range(1, deepest + 1):
+        for e in reversed(prof.elements_on(lv)):
+            below_all_above = lv == 1 or all(s.greater(i, e) for i in prof.elements_on(lv - 1))
+            above_none_below = lv == deepest or not any(
+                s.greater(e, j) for j in prof.elements_on(lv + 1)
+            )
+            if below_all_above and above_none_below:
+                found[lv] = e
+                break
+    return found
+
+
 class TestBadElements:
     def test_antichain(self):
         assert set(bad_elements(Semiorder((0, 0, 0)))) == {1}
@@ -268,6 +286,17 @@ class TestBadElements:
                     for b in members:
                         assert up_set(s, a) - {b} == up_set(s, b) - {a}
                         assert down_set(s, a) - {b} == down_set(s, b) - {a}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_pairwise_reference(self, n):
+        for s in enumerate_semiorders(n):
+            assert bad_elements(s) == pairwise_bad_elements(s)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_reference_on_random_vectors(self, seed):
+        rng = random.Random(seed)
+        s = random_semiorder(rng, rng.randint(1, 300))
+        assert bad_elements(s) == pairwise_bad_elements(s)
 
 
 class TestStructuralPropositions:
@@ -394,6 +423,33 @@ class TestSplitJoin:
         assert join(*split(s)) == s
 
 
+def pairwise_equivalence_classes(s):
+    """Up-set by up-set comparison of neighbours, as the run reads replaced it."""
+    classes = []
+    start = 1
+    for e in range(2, s.n + 1):
+        if s.rho[e - 1] != s.rho[start - 1] or up_set(s, e) != up_set(s, start):
+            classes.append(range(start, e))
+            start = e
+    classes.append(range(start, s.n + 1))
+    return classes
+
+
+def pairwise_contraction(s):
+    classes = pairwise_equivalence_classes(s)
+    reps = [c[0] for c in classes]
+    seed_rho = tuple(sum(1 for other in reps if s.greater(rep, other)) for rep in reps)
+    return Semiorder(seed_rho), tuple(len(c) for c in classes)
+
+
+def pairwise_expansion(seed, mults):
+    counts = []
+    for i in range(1, seed.n + 1):
+        below = sum(mults[j - 1] for j in range(1, seed.n + 1) if seed.greater(i, j))
+        counts.extend([below] * mults[i - 1])
+    return Semiorder.from_counts(counts)
+
+
 class TestContraction:
     def test_antichain(self):
         seed, mult = contraction(Semiorder((0, 0, 0)))
@@ -425,6 +481,24 @@ class TestContraction:
             expansion(Semiorder((1, 0)), (1,))
         with pytest.raises(ValueError):
             expansion(Semiorder((1, 0)), (1, 0))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_pairwise_reference(self, n):
+        rng = random.Random(n)
+        for s in enumerate_semiorders(n):
+            assert equivalence_classes(s) == pairwise_equivalence_classes(s)
+            assert contraction(s) == pairwise_contraction(s)
+            mults = [rng.randint(1, 3) for _ in range(n)]
+            assert expansion(s, mults) == pairwise_expansion(s, mults)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_reference_on_random_vectors(self, seed):
+        rng = random.Random(seed)
+        s = random_semiorder(rng, rng.randint(1, 300))
+        assert equivalence_classes(s) == pairwise_equivalence_classes(s)
+        assert contraction(s) == pairwise_contraction(s)
+        mults = [rng.randint(1, 3) for _ in range(s.n)]
+        assert expansion(s, mults) == pairwise_expansion(s, mults)
 
 
 class TestRightmostConsistency:

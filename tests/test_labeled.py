@@ -104,6 +104,15 @@ class TestPartitionCodec:
             with pytest.raises(InvalidPartitionError):
                 OrderedSetPartition.from_text(bad)
 
+    def test_rejects_labels_repeated_inside_a_block(self):
+        for blocks in (((1, 1),), ((1, 1), (2,)), ((1, 2, 2), (3,))):
+            with pytest.raises(InvalidPartitionError):
+                OrderedSetPartition(blocks)
+            with pytest.raises(InvalidPartitionError):
+                LabeledSemiorder(Semiorder((0,) * len(blocks)), blocks)
+        with pytest.raises(InvalidPartitionError):
+            OrderedSetPartition.from_text("{1,1}{2}")
+
 
 class TestStaircaseSeeds:
     @pytest.mark.parametrize("k", range(1, 9))

@@ -44,6 +44,18 @@ class TestEnumerateSemiorders:
             list(enumerate_semiorders(15))
         assert next(enumerate_semiorders(15, force=True)) == Semiorder((0,) * 15)
 
+    def test_negative_n_is_not_a_bound_overflow(self):
+        calls = (
+            lambda: list(enumerate_semiorders(-1)),
+            lambda: list(enumerate_semiorders(-1, force=True)),
+            lambda: list(labeled_posets(-1)),
+            lambda: enumerate_posets(-1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^need n >= 0; got -1$") as caught:
+                call()
+            assert not isinstance(caught.value, BoundExceededError)
+
 
 def recursive_vectors(n):
     """The one-generator-per-entry enumeration the successor loop replaced."""

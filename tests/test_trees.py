@@ -70,6 +70,32 @@ class TestTreeCodec:
         assert (tree.node_count, tree.height) == (5001, 5000)
         assert tree.to_text() == text
 
+    def test_deep_tree_compares_hashes_and_prints(self):
+        tree = OrderedTree.from_text("(" * 5001 + ")" * 5001)
+        same = dyck_to_tree(DyckPath("U" * 5000 + "D" * 5000))
+        other = OrderedTree.from_text("(" * 5000 + ")()" + ")" * 4999)
+        assert tree == same and hash(tree) == hash(same)
+        assert tree != other and other.node_count == tree.node_count
+        assert eval(repr(tree)) == tree
+
+    def test_repr_is_one_evaluable_line(self):
+        tree = OrderedTree.from_text(GRAPH_B)
+        assert repr(tree) == "OrderedTree.from_text('((())(()()))')"
+        assert eval(repr(tree)) == tree
+
+    @given(small_trees)
+    def test_equal_trees_hash_equal(self, tree):
+        copy = dyck_to_tree(tree_to_dyck(tree))
+        assert copy is not tree
+        assert copy == tree and hash(copy) == hash(tree)
+        assert eval(repr(tree)) == tree
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_distinct_shapes_compare_unequal(self, n):
+        shapes = list(all_trees(n))
+        assert len(set(shapes)) == len(shapes) == catalan(n - 1)
+        assert all(a != b for a, b in zip(shapes, shapes[1:]))
+
 
 def recursive_from_text(text):
     """The recursive-descent parser the depth scan replaced, as a reference."""
