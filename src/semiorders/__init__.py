@@ -1,104 +1,37 @@
-"""Exact enumeration and bijection toolkit for semiorders of bounded length."""
+"""Exact enumeration and bijection toolkit for semiorders of bounded length.
 
-from .bijection import (
-    LevelLinkage,
-    arrangement_to_semiorder,
-    construction_stages,
-    dyck_to_semiorder,
-    level_linkage,
-    semiorder_to_arrangement,
-    semiorder_to_dyck,
-    semiorder_to_tree,
-    tree_to_semiorder,
-)
-from .core import (
-    ComparabilityMatrix,
-    EmptySemiorderError,
-    LevelProfile,
-    Semiorder,
-    bad_elements,
-    comparability,
-    contraction,
-    expansion,
-    induced,
-    join,
-    level_profile,
-    split,
-)
-from .counting import (
-    catalan,
-    count_by_good,
-    count_exact,
-    count_leq,
-    p_polynomial,
-    series_exact,
-    series_leq,
-)
-from .labeled import (
-    LabeledSemiorder,
-    OrderedSetPartition,
-    count_labeled_exact,
-    count_labeled_leq,
-    ordered_bell,
-    partition_to_labeled_semiorder,
-    labeled_semiorder_to_partition,
-    substitute_one_minus_exp,
-)
-from .oracle import Pattern, enumerate_posets, enumerate_semiorders, has_pattern, oracle_counts
-from .trees import DyckPath, OrderedTree, dyck_to_tree, tree_to_dyck
-from .trunk import TrunkTree, count_trunk_trees, dyck_to_rtlm, narayana, rtl_minima, rtlm_to_dyck, trunk_tree
+Public names and their submodules import on first use (PEP 562), so
+``import semiorders`` loads no submodule."""
 
-__all__ = [
-    "ComparabilityMatrix",
-    "DyckPath",
-    "EmptySemiorderError",
-    "LabeledSemiorder",
-    "LevelLinkage",
-    "LevelProfile",
-    "OrderedSetPartition",
-    "OrderedTree",
-    "Pattern",
-    "Semiorder",
-    "TrunkTree",
-    "arrangement_to_semiorder",
-    "bad_elements",
-    "catalan",
-    "comparability",
-    "construction_stages",
-    "contraction",
-    "count_by_good",
-    "count_exact",
-    "count_labeled_exact",
-    "count_labeled_leq",
-    "count_leq",
-    "count_trunk_trees",
-    "dyck_to_rtlm",
-    "dyck_to_semiorder",
-    "dyck_to_tree",
-    "enumerate_posets",
-    "enumerate_semiorders",
-    "expansion",
-    "has_pattern",
-    "induced",
-    "join",
-    "labeled_semiorder_to_partition",
-    "level_linkage",
-    "level_profile",
-    "narayana",
-    "oracle_counts",
-    "ordered_bell",
-    "p_polynomial",
-    "partition_to_labeled_semiorder",
-    "rtl_minima",
-    "rtlm_to_dyck",
-    "semiorder_to_arrangement",
-    "semiorder_to_dyck",
-    "semiorder_to_tree",
-    "series_exact",
-    "series_leq",
-    "split",
-    "substitute_one_minus_exp",
-    "tree_to_dyck",
-    "tree_to_semiorder",
-    "trunk_tree",
-]
+from importlib import import_module
+
+_NAMES = {  # submodule: the public names it defines
+    "bijection": ("LevelLinkage", "arrangement_to_semiorder", "construction_stages",
+                  "dyck_to_semiorder", "level_linkage", "semiorder_to_arrangement",
+                  "semiorder_to_dyck", "semiorder_to_tree", "tree_to_semiorder"),
+    "core": ("ComparabilityMatrix", "EmptySemiorderError", "LevelProfile", "Semiorder",
+             "bad_elements", "comparability", "contraction", "expansion", "induced", "join",
+             "level_profile", "split"),
+    "counting": ("catalan", "count_by_good", "count_exact", "count_leq", "p_polynomial",
+                 "series_exact", "series_leq"),
+    "labeled": ("LabeledSemiorder", "OrderedSetPartition", "count_labeled_exact",
+                "count_labeled_leq", "ordered_bell", "partition_to_labeled_semiorder",
+                "labeled_semiorder_to_partition", "substitute_one_minus_exp"),
+    "oracle": ("Pattern", "enumerate_posets", "enumerate_semiorders", "has_pattern", "oracle_counts"),
+    "trees": ("DyckPath", "OrderedTree", "dyck_to_tree", "tree_to_dyck"),
+    "trunk": ("TrunkTree", "count_trunk_trees", "dyck_to_rtlm", "narayana", "rtl_minima",
+              "rtlm_to_dyck", "trunk_tree"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _NAMES:
+        return import_module(f"{__name__}.{name}")  # the import binds it here
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value

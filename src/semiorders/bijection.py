@@ -19,10 +19,9 @@ two-level arrangement map handles length <= 1 directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 
-from .core import LengthTooLargeError, Semiorder, level_profile
+from .core import Frozen, LengthTooLargeError, Semiorder, level_profile
 from .trees import DyckPath, OrderedTree, dyck_to_tree, tree_to_dyck
 
 
@@ -30,8 +29,7 @@ class IndexOutOfRangeError(ValueError):
     """An arrangement index falls outside {2, ..., n}."""
 
 
-@dataclass(frozen=True)
-class LevelLinkage:
+class LevelLinkage(Frozen):
     """Depth profile and parent/child link counts of a tree.
 
     ``sizes[i-1]`` is x_i (nodes at depth i), ``child_counts[i-1]`` is s^i
@@ -40,10 +38,22 @@ class LevelLinkage:
     ``cumulative[i-1]`` is y_i = x_1 + ... + x_i.
     """
 
-    sizes: tuple[int, ...]
-    child_counts: tuple[tuple[int, ...], ...]
-    suffix_sums: tuple[tuple[int, ...], ...]
-    cumulative: tuple[int, ...]
+    __slots__ = ("sizes", "child_counts", "suffix_sums", "cumulative")
+
+    def __init__(self, sizes, child_counts, suffix_sums, cumulative):
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "child_counts", child_counts)
+        object.__setattr__(self, "suffix_sums", suffix_sums)
+        object.__setattr__(self, "cumulative", cumulative)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sizes, self.child_counts, self.suffix_sums, self.cumulative) == (
+            other.sizes, other.child_counts, other.suffix_sums, other.cumulative)
+
+    def __hash__(self):
+        return hash((self.sizes, self.child_counts, self.suffix_sums, self.cumulative))
 
 
 def _read_linkage(word: str) -> LevelLinkage:

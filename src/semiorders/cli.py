@@ -11,7 +11,7 @@ import argparse
 import sys
 import warnings
 
-from . import bijection, core, counting, labeled, oracle, trees, trunk, verify
+from . import counting, verify  # the parser's choices; each subcommand imports what it runs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +61,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_input(kind: str, text: str) -> core.Semiorder:
+def _parse_input(kind: str, text: str):
+    from . import bijection, core, trees
+
     if kind == "vector":
         return core.Semiorder.from_text(text)
     if kind == "tree":
@@ -69,9 +71,11 @@ def _parse_input(kind: str, text: str) -> core.Semiorder:
     return bijection.dyck_to_semiorder(trees.DyckPath.from_text(text))
 
 
-def _render(kind: str, s: core.Semiorder) -> str:
+def _render(kind: str, s) -> str:
     if kind == "vector":
         return s.to_text()
+    from . import bijection
+
     if kind == "tree":
         return bijection.semiorder_to_tree(s).to_text()
     return bijection.semiorder_to_dyck(s).to_text()
@@ -81,6 +85,8 @@ def _cmd_count(args, out) -> int:
     if args.labeled:
         if args.mode is not None or args.check:
             raise ValueError("--labeled takes neither --mode nor --check")
+        from . import labeled
+
         counter = labeled.count_labeled_leq if args.at_most else labeled.count_labeled_exact
         print(counter(args.n, args.height), file=out)
         return 0
@@ -99,6 +105,8 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    from . import oracle
+
     for s in oracle.enumerate_semiorders(args.n, force=args.force):
         if args.max_height is not None and s.n and s.length > args.max_height:
             continue
@@ -117,12 +125,16 @@ def _cmd_series(args, out) -> int:
         else counting.series_exact(args.height, order)
     )
     if args.labeled:
+        from . import labeled
+
         coefficients = labeled.substitute_one_minus_exp(coefficients)
     print(",".join(str(c) for c in coefficients), file=out)
     return 0
 
 
 def _cmd_trunk(args, out) -> int:
+    from . import core, trunk
+
     s = core.Semiorder.from_text(args.rho)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -165,11 +177,15 @@ def run(argv, out=None) -> int:
         "trunk-trees": _cmd_trunk,
         "verify": _cmd_verify,
     }
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # printed counts pass str()'s 4300-digit guard at n ~ 9000, h = 3
     try:
         return handlers[args.command](args, out)
     except (ValueError, ArithmeticError) as exc:
         print(f"semiorders: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

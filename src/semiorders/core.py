@@ -16,7 +16,6 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 
@@ -53,8 +52,28 @@ class LengthTooLargeError(ValueError):
     """The operation is defined only for semiorders of smaller length."""
 
 
-@dataclass(frozen=True)
-class Semiorder:
+class Frozen:
+    """Base of the package's value classes: a subclass lists its fields in
+    ``__slots__``, sets each once in ``__init__`` through ``object.__setattr__``,
+    and compares and hashes its own fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the checked constructor
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Semiorder(Frozen):
     """A semiorder in canonical vector form.
 
     ``rho[i-1]`` is r_i, the number of elements strictly below element i.
@@ -62,10 +81,10 @@ class Semiorder:
     of element j" means i > j.
     """
 
-    rho: tuple[int, ...] = ()
+    __slots__ = ("rho",)
 
-    def __post_init__(self):
-        rho = tuple(self.rho)
+    def __init__(self, rho: tuple[int, ...] = ()):
+        rho = tuple(rho)
         object.__setattr__(self, "rho", rho)
         n = len(rho)
         for i, r in enumerate(rho, start=1):
@@ -75,6 +94,12 @@ class Semiorder:
                 raise EntryTooLargeError(i, n - i)
             if i >= 2 and r > rho[i - 2]:
                 raise NotNonincreasingError(i)
+
+    def __eq__(self, other):
+        return self.rho == other.rho if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.rho)
 
     @property
     def n(self) -> int:
@@ -109,16 +134,23 @@ class Semiorder:
     def to_text(self) -> str:
         return ",".join(str(r) for r in self.rho)
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __str__ = to_text
 
 
-@dataclass(frozen=True)
-class ComparabilityMatrix:
+class ComparabilityMatrix(Frozen):
     """Explicit strictly-greater relation of a semiorder (irreflexive,
     antisymmetric, transitive)."""
 
-    rows: tuple[tuple[bool, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[bool, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @property
     def n(self) -> int:
@@ -128,8 +160,7 @@ class ComparabilityMatrix:
         return self.rows[i - 1][j - 1]
 
 
-@dataclass(frozen=True)
-class LevelProfile:
+class LevelProfile(Frozen):
     """Level assignment of a nonempty semiorder.
 
     ``level_of[i-1]`` is the level of element i: the largest L such that a
@@ -138,8 +169,19 @@ class LevelProfile:
     range ``elements_on(k)``.
     """
 
-    level_of: tuple[int, ...]
-    sizes: tuple[int, ...]
+    __slots__ = ("level_of", "sizes")
+
+    def __init__(self, level_of: tuple[int, ...], sizes: tuple[int, ...]):
+        object.__setattr__(self, "level_of", level_of)
+        object.__setattr__(self, "sizes", sizes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level_of == other.level_of and self.sizes == other.sizes
+
+    def __hash__(self):
+        return hash((self.level_of, self.sizes))
 
     @property
     def length(self) -> int:

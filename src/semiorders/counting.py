@@ -25,7 +25,6 @@ count_by_good refines them by the number of good (deepest-level) elements.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Decimal, getcontext, localcontext
 
 METHODS = ("convolution", "alternating", "series", "trig", "closed")
 
@@ -195,11 +194,13 @@ def series_exact(h: int, order: int) -> tuple[int, ...]:
     return series_divide(numerator, poly_mul(p_polynomial(h + 1), p_polynomial(h)), order)
 
 
-_pi_cache: dict[int, Decimal] = {}
+_pi_cache: dict[int, Decimal] = {}  # decimal loads on the first use of the trig route
 
 
 def _dec_pi() -> Decimal:
     """Pi at the current decimal context precision (arctan-style series)."""
+    from decimal import Decimal, getcontext
+
     prec = getcontext().prec
     if prec in _pi_cache:
         return _pi_cache[prec]
@@ -220,6 +221,8 @@ def _dec_pi() -> Decimal:
 
 def _dec_taylor(x: Decimal, i: int, term: Decimal) -> Decimal:
     """sin or cos of x by its Taylor series: term x^i / i! first, i = 1 or 0."""
+    from decimal import Decimal, getcontext
+
     getcontext().prec += 2
     lasts, s, fact, num, sign = Decimal(0), term, 1, term, 1
     while s != lasts:
@@ -238,6 +241,8 @@ def _dec_sin(x: Decimal) -> Decimal:
 
 
 def _dec_cos(x: Decimal) -> Decimal:
+    from decimal import Decimal
+
     return _dec_taylor(x, 0, Decimal(1))
 
 
@@ -251,6 +256,8 @@ def trig_estimate(n: int, h: int, digits: int | None = None) -> tuple[int, float
     an integer and slip past it, so the default precision carries a wide
     margin instead of leaning on the guard.
     """
+    from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+
     if n <= 1:
         return 1, 0.0
     if digits is None:

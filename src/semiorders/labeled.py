@@ -16,15 +16,15 @@ order onto the classes of the staircase seed (m, m-1, ..., 1, 0, ..., 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
-from .core import LengthTooLargeError, Semiorder, expansion, semiorder_from_matrix
+from .core import Frozen, LengthTooLargeError, Semiorder, contraction, expansion, semiorder_from_matrix
 from .counting import InvalidParametersError, series_exact, series_leq
 
 
 class InvalidPartitionError(ValueError):
-    """Blocks are not disjoint nonempty sets covering 1..n."""
+    """Blocks are not disjoint nonempty sets covering 1..n, or they do not
+    label the classes of a rigid seed one to one."""
 
 
 def stirling2_table(max_n: int) -> list[list[int]]:
@@ -102,14 +102,19 @@ def _checked_blocks(blocks) -> tuple[tuple[int, ...], ...]:
     return blocks
 
 
-@dataclass(frozen=True)
-class OrderedSetPartition:
+class OrderedSetPartition(Frozen):
     """Linearly ordered disjoint nonempty blocks covering {1, ..., n}."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", _checked_blocks(self.blocks))
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "blocks", _checked_blocks(blocks))
+
+    def __eq__(self, other):
+        return self.blocks == other.blocks if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.blocks)
 
     @property
     def n(self) -> int:
@@ -132,26 +137,36 @@ class OrderedSetPartition:
     def to_text(self) -> str:
         return "".join("{" + ",".join(str(v) for v in b) + "}" for b in self.blocks)
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __str__ = to_text
 
 
-@dataclass(frozen=True)
-class LabeledSemiorder:
+class LabeledSemiorder(Frozen):
     """A labeled semiorder as (contraction seed, ordered label blocks).
 
     ``blocks[i-1]`` holds the labels of the equivalence class expanding
     seed element i.  Together the blocks partition {1, ..., n}; labelings
-    that differ only within a class are the same object.
+    that differ only within a class are the same object.  The seed must be
+    rigid (no two of its elements equivalent), so each labeled semiorder
+    has exactly one form.
     """
 
-    seed: Semiorder
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("seed", "blocks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", _checked_blocks(self.blocks))
-        if len(self.blocks) != self.seed.n:
+    def __init__(self, seed: Semiorder, blocks: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "blocks", _checked_blocks(blocks))
+        if len(self.blocks) != seed.n:
             raise InvalidPartitionError("need exactly one label block per seed element")
+        if seed.n and contraction(seed)[1] != (1,) * seed.n:
+            raise InvalidPartitionError("the seed must be rigid: no two of its elements equivalent")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.seed == other.seed and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.seed, self.blocks))
 
     @property
     def n(self) -> int:

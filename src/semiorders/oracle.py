@@ -15,11 +15,10 @@ scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
 
-from .core import Semiorder, comparability
+from .core import Frozen, Semiorder
 
 VECTOR_BOUND = 14
 POSET_BOUND = 5
@@ -44,14 +43,13 @@ class Pattern(Enum):
     THREE_PLUS_ONE = "3+1"
 
 
-@dataclass(frozen=True)
-class GenericPoset:
+class GenericPoset(Frozen):
     """A strict partial order given by its full greater-than matrix."""
 
-    rows: tuple[tuple[bool, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(bool(v) for v in row) for row in self.rows)
+    def __init__(self, rows: tuple[tuple[bool, ...], ...]):
+        rows = tuple(tuple(bool(v) for v in row) for row in rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         for i in range(n):
@@ -65,13 +63,15 @@ class GenericPoset:
                         if rows[j][k] and not rows[i][k]:
                             raise ValueError("strict order must be transitive")
 
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
+
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def from_semiorder(cls, s: Semiorder) -> "GenericPoset":
-        return cls(comparability(s).rows)
 
     def length(self) -> int:
         """Edges in a longest chain."""

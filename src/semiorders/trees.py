@@ -10,7 +10,7 @@ semilength n and height H.  A tree's text is that word, ``(``/``)`` for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .core import Frozen
 
 
 class UnbalancedParensError(ValueError):
@@ -31,12 +31,14 @@ class MalformedDyckWordError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class OrderedTree:
+class OrderedTree(Frozen):
     """A rooted tree whose children carry a left-to-right order; it compares,
     hashes and prints through its Dyck word, so none of the three recurses."""
 
-    children: tuple["OrderedTree", ...] = ()
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple["OrderedTree", ...] = ()):
+        object.__setattr__(self, "children", children)
 
     def __eq__(self, other):
         if not isinstance(other, OrderedTree):
@@ -77,23 +79,22 @@ class OrderedTree:
     def to_text(self) -> str:
         return "(" + tree_to_dyck(self).word.translate(_TO_PARENS) + ")"
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __str__ = to_text
 
 
 _FROM_PARENS = str.maketrans("()", "UD")
 _TO_PARENS = str.maketrans("UD", "()")
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Frozen):
     """A word over {U, D} with balanced counts and nonnegative prefixes."""
 
-    word: str = ""
+    __slots__ = ("word",)
 
-    def __post_init__(self):
+    def __init__(self, word: str = ""):
+        object.__setattr__(self, "word", word)
         altitude = 0
-        for pos, step in enumerate(self.word):
+        for pos, step in enumerate(word):
             if step == "U":
                 altitude += 1
             elif step == "D":
@@ -103,7 +104,13 @@ class DyckPath:
             else:
                 raise MalformedDyckWordError(pos)
         if altitude != 0:
-            raise MalformedDyckWordError(len(self.word))
+            raise MalformedDyckWordError(len(word))
+
+    def __eq__(self, other):
+        return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.word)
 
     @property
     def semilength(self) -> int:
@@ -125,8 +132,7 @@ class DyckPath:
     def to_text(self) -> str:
         return self.word
 
-    def __str__(self) -> str:
-        return self.word
+    __str__ = to_text
 
 
 def tree_to_dyck(tree: OrderedTree) -> DyckPath:

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-
-from .core import LengthTooLargeError, Semiorder, level_profile
+from .core import Frozen, LengthTooLargeError, Semiorder, level_profile
 from .counting import catalan
 from .trees import DyckPath, all_dyck_words
 
@@ -36,11 +34,21 @@ class HypothesisViolatedWarning(UserWarning):
     does not apply, though the distinct-tree count is still computed."""
 
 
-@dataclass(frozen=True)
-class TrunkTree:
+class TrunkTree(Frozen):
     """Canonical shape of a trunk tree: leaves per trunk position, top down."""
 
-    leaf_counts: tuple[int, ...]
+    __slots__ = ("leaf_counts",)
+
+    def __init__(self, leaf_counts: tuple[int, ...]):
+        object.__setattr__(self, "leaf_counts", leaf_counts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.leaf_counts == other.leaf_counts
+
+    def __hash__(self):
+        return hash(self.leaf_counts)
 
     @property
     def trunk_length(self) -> int:

@@ -1,14 +1,12 @@
 """Self-check suites behind the ``verify`` CLI subcommand.
 
 Each suite returns deterministic report lines ending in OK or MISMATCH;
-a suite passes iff no line says MISMATCH.
+a suite passes iff no line says MISMATCH.  Each imports what it checks.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-
-from . import bijection, core, counting, labeled, oracle, trees, trunk
 
 SUITES = ("all", "bijection", "recurrences", "labeled", "trunk", "oracle")
 
@@ -18,6 +16,8 @@ def _line(ok: bool, text: str) -> str:
 
 
 def suite_bijection(max_n: int) -> list[str]:
+    from . import bijection, core, counting, oracle, trees
+
     lines = []
     top = min(max_n, 9)
     for n in range(1, top + 1):
@@ -41,6 +41,8 @@ def suite_bijection(max_n: int) -> list[str]:
 
 
 def suite_recurrences(max_n: int) -> list[str]:
+    from . import counting
+
     lines = []
     top = max(max_n, 2)
     for h in range(0, 11):
@@ -59,6 +61,8 @@ def suite_recurrences(max_n: int) -> list[str]:
 
 
 def suite_labeled(max_n: int) -> list[str]:
+    from . import labeled
+
     top = min(max_n, 12)
     lines = []
     ok = all(labeled.count_labeled_leq(n, 1) == labeled.ordered_bell(n) for n in range(top + 1))
@@ -78,6 +82,8 @@ def suite_labeled(max_n: int) -> list[str]:
 
 
 def suite_trunk(max_n: int) -> list[str]:
+    from . import core, counting, trees, trunk
+
     lines = []
     for m in range(1, min(max_n, 6) + 1):
         staircase = core.Semiorder(tuple(range(m, 0, -1)) + (0,) * m)
@@ -103,6 +109,8 @@ def suite_trunk(max_n: int) -> list[str]:
 
 
 def suite_oracle(max_n: int) -> list[str]:
+    from . import counting, oracle
+
     lines = []
     for n in range(1, min(max_n, 9) + 1):
         histogram = oracle.oracle_counts(n, route="vectors")

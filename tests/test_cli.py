@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: golden outputs and exit codes."""
 
 import io
+import sys
 from itertools import permutations
+
+import pytest
 
 from semiorders import counting
 from semiorders.cli import run
@@ -199,3 +202,47 @@ class TestUsageErrors:
     def test_missing_required(self):
         code, _ = invoke(["count", "--n", "3"])
         assert code == 1
+
+
+class TestHugeCounts:
+    """Counts past CPython's default 4300-digit int->str guard still print,
+    and the caller's own guard is back in place when ``run`` returns."""
+
+    @pytest.fixture
+    def caller_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        yield 5000
+        sys.set_int_max_str_digits(limit)
+
+    def test_count_matches_closed_form(self, caller_limit):
+        n = 20000
+        for mode in ("series", "closed"):
+            code, text = invoke(
+                ["count", "--n", str(n), "--height", "3", "--mode", mode, "--at-most"]
+            )
+            assert sys.get_int_max_str_digits() == caller_limit
+            assert code == 0
+            sys.set_int_max_str_digits(0)
+            assert text == f"{(3 ** (n - 1) + 1) // 2}\n"
+            sys.set_int_max_str_digits(caller_limit)
+
+    def test_exact_count_prints(self, caller_limit):
+        code, text = invoke(["count", "--n", "20000", "--height", "3", "--mode", "series"])
+        assert sys.get_int_max_str_digits() == caller_limit
+        assert code == 0 and len(text) > 9000
+
+    def test_series_prints(self, caller_limit):
+        terms = 14300  # 2^14298 has 4305 digits
+        code, text = invoke(["series", "--height", "1", "--terms", str(terms), "--at-most"])
+        assert sys.get_int_max_str_digits() == caller_limit
+        assert code == 0
+        coefficients = text.rstrip("\n").split(",")
+        assert len(coefficients) == terms
+        assert coefficients[:4] == ["1", "1", "2", "4"]
+        sys.set_int_max_str_digits(0)
+        assert coefficients[-1] == str(2 ** (terms - 2))
+
+    def test_limit_restored_after_usage_error(self, caller_limit):
+        assert invoke(["series", "--height", "1", "--terms", "0"]) == (1, "")
+        assert sys.get_int_max_str_digits() == caller_limit

@@ -3,7 +3,14 @@ bijection onto labeled length-<=1 semiorders."""
 
 import pytest
 
-from semiorders.core import LengthTooLargeError, Semiorder, contraction, level_profile
+from semiorders.core import (
+    LengthTooLargeError,
+    Semiorder,
+    contraction,
+    down_set,
+    level_profile,
+    up_set,
+)
 from semiorders.counting import catalan, series_leq
 from semiorders.labeled import (
     InvalidPartitionError,
@@ -199,3 +206,24 @@ class TestLabeledFromRelation:
             LabeledSemiorder(Semiorder((0, 0)), ((1, 2),))
         with pytest.raises(InvalidPartitionError):
             LabeledSemiorder(Semiorder((0, 0)), ((1,), (1,)))
+
+
+class TestRigidSeed:
+    """A labeled semiorder has one form: its seed has no two equivalent elements."""
+
+    def test_expanded_seed_rejected_in_favour_of_its_contraction(self):
+        with pytest.raises(InvalidPartitionError, match="rigid"):
+            LabeledSemiorder(Semiorder((0, 0)), ((1,), (2,)))
+        labeled = LabeledSemiorder(Semiorder((0,)), ((1, 2),))
+        assert labeled.underlying() == Semiorder((0, 0))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exactly_the_rigid_seeds_construct(self, n):
+        blocks = tuple((label,) for label in range(1, n + 1))
+        for s in enumerate_semiorders(n):
+            relations = [(up_set(s, e), down_set(s, e)) for e in range(1, n + 1)]
+            if len(set(relations)) == n:  # no two elements compare alike with the rest
+                assert LabeledSemiorder(s, blocks).underlying() == s
+            else:
+                with pytest.raises(InvalidPartitionError):
+                    LabeledSemiorder(s, blocks)
