@@ -190,7 +190,7 @@ def semiorder_to_arrangement(s: Semiorder) -> frozenset[int]:
     """
     if s.n == 0:
         raise IndexOutOfRangeError("need n >= 1")
-    if level_profile(s).length > 1:
+    if s.length > 1:
         raise LengthTooLargeError("arrangements encode only semiorders of length <= 1")
     r1 = s.rho[0]
     m = s.n - r1

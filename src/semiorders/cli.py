@@ -11,7 +11,10 @@ import argparse
 import sys
 import warnings
 
-from . import counting, verify  # the parser's choices; each subcommand imports what it runs
+# counting.METHODS and verify.SUITES spelled out, so that only count, series and
+# verify load those modules; each subcommand imports what it runs
+_METHODS = ("convolution", "alternating", "series", "trig", "closed")
+_SUITES = ("all", "bijection", "recurrences", "labeled", "trunk", "oracle")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -28,7 +31,7 @@ def _build_parser() -> _Parser:
     count.add_argument("--height", type=int, required=True, help="length bound h")
     count.add_argument("--at-most", action="store_true", help="count length <= h instead of exactly h")
     count.add_argument("--labeled", action="store_true")
-    count.add_argument("--mode", choices=counting.METHODS,
+    count.add_argument("--mode", choices=_METHODS,
                        help="unlabeled route; 'closed' always reports the at-most count")
     count.add_argument("--check", action="store_true",
                        help="cross-check against the series route (alternating for --mode series)")
@@ -56,7 +59,7 @@ def _build_parser() -> _Parser:
     tt.add_argument("--count-only", action="store_true")
 
     ver = sub.add_parser("verify", help="run self-check suites")
-    ver.add_argument("--suite", choices=verify.SUITES, default="all")
+    ver.add_argument("--suite", choices=_SUITES, default="all")
     ver.add_argument("--max-n", type=int, default=8)
     return parser
 
@@ -82,6 +85,8 @@ def _render(kind: str, s) -> str:
 
 
 def _cmd_count(args, out) -> int:
+    from . import counting
+
     if args.labeled:
         if args.mode is not None or args.check:
             raise ValueError("--labeled takes neither --mode nor --check")
@@ -115,6 +120,8 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_series(args, out) -> int:
+    from . import counting
+
     order = args.terms - 1
     if order < 0:
         print("need --terms >= 1", file=sys.stderr)
@@ -155,6 +162,8 @@ def _cmd_map(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from . import verify
+
     lines, passed = verify.run_suite(args.suite, args.max_n)
     for line in lines:
         print(line, file=out)

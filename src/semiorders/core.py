@@ -105,10 +105,23 @@ class Semiorder(Frozen):
     def n(self) -> int:
         return len(self.rho)
 
+    @classmethod
+    def _trusted(cls, rho: tuple[int, ...]) -> "Semiorder":
+        """Wrap a vector that is valid by construction, unchecked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "rho", rho)
+        return s
+
     @property
     def length(self) -> int:
         """Number of edges in a longest chain.  Undefined when n = 0."""
-        return level_profile(self).length
+        rho, n = self.rho, len(self.rho)
+        if n == 0:
+            raise EmptySemiorderError("empty semiorder has no level structure")
+        length, start = -1, 0
+        while start < n:  # hop from level start to level start, as level_profile does
+            length, start = length + 1, n - rho[start]
+        return length
 
     def greater(self, i: int, j: int) -> bool:
         """True iff element i is strictly above element j (1-based)."""

@@ -185,11 +185,13 @@ def series_divide(numerator, denominator, order: int) -> tuple[int, ...]:
 
 def series_leq(h: int, order: int) -> tuple[int, ...]:
     """Coefficients 0..order of p_h / p_{h+1}; entry n is f_leq(n, h)."""
+    h = min(h, order + 1)  # f_leq(n, h) = C_n once h >= n - 1
     return series_divide(p_polynomial(h), p_polynomial(h + 1), order)
 
 
 def series_exact(h: int, order: int) -> tuple[int, ...]:
     """Coefficients 0..order of x^(h+1) / (p_{h+1} p_h); entry n is f(n, h)."""
+    h = min(h, order + 1)  # f(n, h) = 0 once h >= n
     numerator = (0,) * (h + 1) + (1,)
     return series_divide(numerator, poly_mul(p_polynomial(h + 1), p_polynomial(h)), order)
 
@@ -297,6 +299,8 @@ def count_leq(n: int, h: int, method: str = "convolution") -> int:
     """Number of nonisomorphic n-element semiorders of length at most h."""
     if n < 0 or h < 0:
         raise InvalidParametersError("need n >= 0 and h >= 0")
+    if method != "closed":  # f_leq(n, h) = C_n once h >= n - 1; closed forms exist only at h = 1, 3
+        h = min(h, max(n - 1, 0))
     if method == "convolution":
         return _leq_convolution(n, h)
     if method == "alternating":

@@ -97,14 +97,16 @@ def enumerate_semiorders(n: int, force: bool = False):
     """Yield every n-element semiorder vector in lexicographic order."""
     _check_size(n, VECTOR_BOUND, force)
 
-    # successor: raise the rightmost r_i below min(r_{i-1}, n - i), zero the rest
+    # successor (Nijenhuis and Wilf, 1978): raise the rightmost r_i below
+    # min(r_{i-1}, n - i) and zero the rest, so every vector is valid unchecked
+    trusted = Semiorder._trusted
     rho = [0] * n
     while True:
-        yield Semiorder(tuple(rho))
-        i = n - 1
-        while i >= 0 and rho[i] == min(rho[i - 1] if i else n - 1, n - 1 - i):
+        yield trusted(tuple(rho))
+        i = n - 2  # r_n is always 0
+        while i > 0 and (rho[i] == rho[i - 1] or rho[i] == n - 1 - i):
             i -= 1
-        if i < 0:
+        if i < 0 or i == 0 and rho[0] == n - 1:
             return
         rho[i] += 1
         rho[i + 1 :] = [0] * (n - 1 - i)

@@ -43,22 +43,22 @@ class OrderedTree(Frozen):
     def __eq__(self, other):
         if not isinstance(other, OrderedTree):
             return NotImplemented
-        return tree_to_dyck(self).word == tree_to_dyck(other).word
+        return _walk(self) == _walk(other)
 
     def __hash__(self):
-        return hash(tree_to_dyck(self).word)
+        return hash(_walk(self))
 
     def __repr__(self) -> str:
         return f"OrderedTree.from_text({self.to_text()!r})"
 
     @property
     def node_count(self) -> int:
-        return 1 + tree_to_dyck(self).semilength
+        return 1 + len(_walk(self)) // 2
 
     @property
     def height(self) -> int:
         """Maximum edge-depth; 0 for a single node."""
-        return tree_to_dyck(self).height
+        return _height(_walk(self))
 
     @classmethod
     def from_text(cls, text: str) -> "OrderedTree":
@@ -77,7 +77,7 @@ class OrderedTree(Frozen):
         return dyck_to_tree(DyckPath(text[1:pos].translate(_FROM_PARENS)))
 
     def to_text(self) -> str:
-        return "(" + tree_to_dyck(self).word.translate(_TO_PARENS) + ")"
+        return "(" + _walk(self).translate(_TO_PARENS) + ")"
 
     __str__ = to_text
 
@@ -118,12 +118,7 @@ class DyckPath(Frozen):
 
     @property
     def height(self) -> int:
-        altitude = best = 0
-        for step in self.word:
-            altitude += 1 if step == "U" else -1
-            if altitude > best:
-                best = altitude
-        return best
+        return _height(self.word)
 
     @classmethod
     def from_text(cls, text: str) -> "DyckPath":
@@ -135,8 +130,22 @@ class DyckPath(Frozen):
     __str__ = to_text
 
 
+def _height(word: str) -> int:
+    altitude = best = 0
+    for step in word:
+        altitude += 1 if step == "U" else -1
+        if altitude > best:
+            best = altitude
+    return best
+
+
 def tree_to_dyck(tree: OrderedTree) -> DyckPath:
-    """Preorder walk: U entering each child, D leaving it."""
+    """The tree's Dyck word, checked as every DyckPath is."""
+    return DyckPath(_walk(tree))
+
+
+def _walk(tree: OrderedTree) -> str:
+    """Preorder walk: U entering each child, D leaving it; a Dyck word by construction."""
     steps: list[str] = []
     stack = [iter(tree.children)]
     while stack:
@@ -148,7 +157,7 @@ def tree_to_dyck(tree: OrderedTree) -> DyckPath:
             stack.pop()
             steps.append("D")
     steps.pop()  # leaving the root is not a step
-    return DyckPath("".join(steps))
+    return "".join(steps)
 
 
 def dyck_to_tree(path: DyckPath) -> OrderedTree:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from .core import Frozen, LengthTooLargeError, Semiorder, level_profile
-from .counting import catalan
 from .trees import DyckPath, all_dyck_words
 
 
@@ -138,6 +137,8 @@ def count_trunk_trees(s: Semiorder) -> int:
     m = upper_count(s)
     uppers = s.rho[:m]
     if len(set(uppers)) != m:
+        from .counting import catalan  # only this warning needs counting
+
         warnings.warn(
             HypothesisViolatedWarning(
                 f"upper entries {uppers} are not pairwise distinct; "

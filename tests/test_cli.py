@@ -2,6 +2,7 @@
 
 import io
 import sys
+import time
 from itertools import permutations
 
 import pytest
@@ -246,3 +247,22 @@ class TestHugeCounts:
     def test_limit_restored_after_usage_error(self, caller_limit):
         assert invoke(["series", "--height", "1", "--terms", "0"]) == (1, "")
         assert sys.get_int_max_str_digits() == caller_limit
+
+
+class TestHugeHeight:
+    """A length bound far past n costs no more than h = n - 1 does: every
+    n-element semiorder has length at most n - 1."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["series", "--height", "5000", "--terms", "3"], "0,0,0\n"),
+        (["count", "--n", "5", "--height", "5000", "--labeled"], "0\n"),
+        (["count", "--n", "5", "--height", "3000000"], "0\n"),
+        (["count", "--n", "5", "--height", "200000", "--mode", "trig"], "0\n"),
+        (["count", "--n", "5", "--height", "3000000", "--at-most"], "42\n"),
+        (["count", "--n", "5", "--height", "3000000", "--at-most", "--labeled"], "2371\n"),
+        (["series", "--height", "5000", "--terms", "6", "--at-most"], "1,1,2,5,14,42\n"),
+    ])
+    def test_answers_within_budget(self, argv, expected):
+        start = time.perf_counter()
+        assert invoke(argv) == (0, expected)
+        assert time.perf_counter() - start < 2.0

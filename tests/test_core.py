@@ -214,6 +214,23 @@ class TestLevelProfile:
         assert prof.sizes == tuple(depth.count(lv) for lv in range(1, max(depth) + 1))
 
 
+class TestLength:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_level_profile(self, n):
+        for s in enumerate_semiorders(n):
+            assert s.length == level_profile(Semiorder(s.rho)).length
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_level_profile_on_random_vectors(self, seed):
+        rng = random.Random(seed)
+        s = random_semiorder(rng, rng.randint(1, 300))
+        assert s.length == level_profile(s).length
+
+    def test_empty_raises_as_level_profile_does(self):
+        with pytest.raises(EmptySemiorderError, match=r"^empty semiorder has no level structure$"):
+            Semiorder(()).length
+
+
 def independent_bad_levels(s):
     """Definition-direct recheck through the comparability matrix alone."""
     rows = comparability(s).rows

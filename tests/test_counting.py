@@ -2,7 +2,10 @@
 closed forms."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from semiorders import counting
 from semiorders.counting import (
     ClosedFormUnavailableError,
     CountTable,
@@ -224,6 +227,20 @@ class TestSeries:
     def test_poly_mul(self):
         assert poly_mul((1, 1), (1, -1)) == (1, 0, -1)
         assert poly_mul((2,), (3,)) == (6,)
+
+    @given(st.integers(0, 40), st.integers(0, 30))
+    def test_height_clamp_keeps_the_series(self, h, order):
+        # the division on the unclamped h is the reference
+        leq = series_divide(p_polynomial(h), p_polynomial(h + 1), order)
+        denominator = poly_mul(p_polynomial(h + 1), p_polynomial(h))
+        exact = series_divide((0,) * (h + 1) + (1,), denominator, order)
+        assert series_leq(h, order) == leq
+        assert series_exact(h, order) == exact
+
+    @given(st.integers(0, 25), st.integers(0, 40),
+           st.sampled_from(("convolution", "alternating", "series", "trig")))
+    def test_height_clamp_keeps_the_counts(self, n, h, method):
+        assert count_leq(n, h, method) == counting._leq_convolution(n, h)
 
 
 class TestCountExact:

@@ -1,5 +1,7 @@
 """Brute-force ground truth: vector enumeration, generic posets, patterns."""
 
+import copy
+import pickle
 from itertools import islice
 
 import pytest
@@ -34,6 +36,13 @@ class TestEnumerateSemiorders:
     @pytest.mark.parametrize("n", range(10))
     def test_order_matches_recursive_generator(self, n):
         assert [s.rho for s in enumerate_semiorders(n)] == list(recursive_vectors(n))
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_vectors_pass_the_checked_constructor(self, n):
+        for s in enumerate_semiorders(n):
+            assert type(s) is Semiorder and type(s.rho) is tuple
+            assert Semiorder(s.rho) == s
+            assert copy.copy(s) == s == pickle.loads(pickle.dumps(s))
 
     def test_forced_deep_start(self):
         first = [s.rho for s in islice(enumerate_semiorders(1500, force=True), 3)]

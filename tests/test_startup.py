@@ -74,9 +74,21 @@ def test_no_subcommand_loads_dataclasses(command):
 
 def test_count_loads_only_counting():
     modules = after_cli(SUBCOMMANDS["count"])
-    assert package_modules(modules) == {"semiorders.cli", "semiorders.counting", "semiorders.verify"}
+    assert package_modules(modules) == {"semiorders.cli", "semiorders.counting"}
     assert "decimal" not in modules
     assert "decimal" in after_cli(["count", "--n", "12", "--height", "3", "--mode", "trig"])
+
+
+@pytest.mark.parametrize("command", ["map", "enumerate", "trunk-trees"])
+def test_counting_and_verify_load_only_where_they_run(command):
+    assert not {"semiorders.counting", "semiorders.verify"} & after_cli(SUBCOMMANDS[command])
+
+
+def test_parser_choices_are_the_routes_and_suites():
+    from semiorders import cli, counting, verify
+
+    assert cli._METHODS == counting.METHODS
+    assert cli._SUITES == verify.SUITES
 
 
 def test_map_loads_no_oracle_labeled_or_trunk():

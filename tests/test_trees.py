@@ -97,6 +97,45 @@ class TestTreeCodec:
         assert all(a != b for a, b in zip(shapes, shapes[1:]))
 
 
+def recursive_text(tree):
+    return "(" + "".join(recursive_text(child) for child in tree.children) + ")"
+
+
+def recursive_height(tree):
+    return max((1 + recursive_height(child) for child in tree.children), default=0)
+
+
+class TestReadsMatchTheDyckRoute:
+    """Text, ==, hash, node count and height read the walk's word without
+    a DyckPath; they agree with the DyckPath route and with recursion."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_all_trees(self, n):
+        trees = list(all_trees(n))
+        paths = [tree_to_dyck(tree) for tree in trees]
+        for tree, path in zip(trees, paths):
+            text = "(" + path.word.replace("U", "(").replace("D", ")") + ")"
+            assert tree.to_text() == text == recursive_text(tree)
+            assert tree.node_count == 1 + path.semilength == text.count("(")
+            assert tree.height == path.height == recursive_height(tree)
+            same = dyck_to_tree(path)
+            assert same == tree and hash(same) == hash(tree)
+        others = trees[1:] + trees[:1]
+        for tree, other, path, other_path in zip(trees, others, paths, paths[1:] + paths[:1]):
+            assert (tree == other) == (path == other_path) == (len(trees) == 1)
+        assert len(set(trees)) == len(trees) == catalan(n - 1)
+
+    def test_depth_5000(self):
+        word = "U" * 4000 + "UDUUDD" * 3 + "U" * 1000 + "D" * 5000 + "UD" * 7
+        path = DyckPath(word)
+        tree = dyck_to_tree(path)
+        assert tree.to_text() == "(" + word.replace("U", "(").replace("D", ")") + ")"
+        assert (tree.node_count, tree.height) == (1 + path.semilength, path.height) == (5017, 5000)
+        same = dyck_to_tree(DyckPath(word))
+        assert same == tree and hash(same) == hash(tree)
+        assert tree != dyck_to_tree(DyckPath(word[:-2] + "UUDD"))
+
+
 def recursive_from_text(text):
     """The recursive-descent parser the depth scan replaced, as a reference."""
 
