@@ -40,21 +40,6 @@ class LevelLinkage(Frozen):
 
     __slots__ = ("sizes", "child_counts", "suffix_sums", "cumulative")
 
-    def __init__(self, sizes, child_counts, suffix_sums, cumulative):
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "child_counts", child_counts)
-        object.__setattr__(self, "suffix_sums", suffix_sums)
-        object.__setattr__(self, "cumulative", cumulative)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sizes, self.child_counts, self.suffix_sums, self.cumulative) == (
-            other.sizes, other.child_counts, other.suffix_sums, other.cumulative)
-
-    def __hash__(self):
-        return hash((self.sizes, self.child_counts, self.suffix_sums, self.cumulative))
-
 
 def _read_linkage(word: str) -> LevelLinkage:
     """Read x, s, u, y off a Dyck word in one pass.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from operator import attrgetter
 
 
 class NegativeEntryError(ValueError):
@@ -53,11 +54,37 @@ class LengthTooLargeError(ValueError):
 
 
 class Frozen:
-    """Base of the package's value classes: a subclass lists its fields in
-    ``__slots__``, sets each once in ``__init__`` through ``object.__setattr__``,
-    and compares and hashes its own fields."""
+    """Base of the package's value classes.  A subclass lists its fields in
+    ``__slots__``; Frozen writes an ``__init__`` that sets them once, by
+    position or keyword, and compares (within one class) and hashes by the key
+    ``_key(value)``: the field for one field, the tuple of fields for more.  A
+    subclass adds only what differs: an ``__init__`` with checks or
+    defaults that sets its fields through ``object.__setattr__``, or its
+    own ``_key``, as ``OrderedTree`` compares by its Dyck word."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_key" not in cls.__dict__:
+            cls._key = attrgetter(*cls.__slots__)
+        if "__init__" not in cls.__dict__:
+            # written out per class, as dataclasses does: a loop over the fields
+            # costs twice as much per value, which tiny vectors feel
+            sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls.__slots__)
+            namespace = {"_set": object.__setattr__}
+            exec(f"def __init__(self, {', '.join(cls.__slots__)}):{sets}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self.__class__._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self.__class__._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -94,12 +121,6 @@ class Semiorder(Frozen):
                 raise EntryTooLargeError(i, n - i)
             if i >= 2 and r > rho[i - 2]:
                 raise NotNonincreasingError(i)
-
-    def __eq__(self, other):
-        return self.rho == other.rho if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self.rho)
 
     @property
     def n(self) -> int:
@@ -156,15 +177,6 @@ class ComparabilityMatrix(Frozen):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[bool, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -183,18 +195,6 @@ class LevelProfile(Frozen):
     """
 
     __slots__ = ("level_of", "sizes")
-
-    def __init__(self, level_of: tuple[int, ...], sizes: tuple[int, ...]):
-        object.__setattr__(self, "level_of", level_of)
-        object.__setattr__(self, "sizes", sizes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.level_of == other.level_of and self.sizes == other.sizes
-
-    def __hash__(self):
-        return hash((self.level_of, self.sizes))
 
     @property
     def length(self) -> int:

@@ -196,7 +196,7 @@ def series_exact(h: int, order: int) -> tuple[int, ...]:
     return series_divide(numerator, poly_mul(p_polynomial(h + 1), p_polynomial(h)), order)
 
 
-_pi_cache: dict[int, Decimal] = {}  # decimal loads on the first use of the trig route
+_pi_cache: dict[int, Decimal] = {}  # one entry, {precision: pi}, the highest computed so far
 
 
 def _dec_pi() -> Decimal:
@@ -204,8 +204,9 @@ def _dec_pi() -> Decimal:
     from decimal import Decimal, getcontext
 
     prec = getcontext().prec
-    if prec in _pi_cache:
-        return _pi_cache[prec]
+    for cached_prec, pi in _pi_cache.items():
+        if cached_prec >= prec:
+            return +pi  # rounded to the caller's precision
     getcontext().prec += 2
     three = Decimal(3)
     lasts, t, s, n, na, d, da = Decimal(0), three, Decimal(3), 1, 0, 0, 24
@@ -217,6 +218,7 @@ def _dec_pi() -> Decimal:
         s += t
     getcontext().prec -= 2
     result = +s
+    _pi_cache.clear()
     _pi_cache[prec] = result
     return result
 
@@ -328,22 +330,3 @@ def count_exact(n: int, h: int, method: str = "convolution") -> int:
         return 1
     return count_leq(n, h, method) - count_leq(n, h - 1, method)
 
-
-def format_polynomial(coefficients) -> str:
-    """Render ascending coefficients as e.g. ``1 - 3*x + x^2``."""
-    terms = []
-    for power, c in enumerate(coefficients):
-        if c == 0:
-            continue
-        magnitude = abs(c)
-        if power == 0:
-            body = str(magnitude)
-        elif power == 1:
-            body = "x" if magnitude == 1 else f"{magnitude}*x"
-        else:
-            body = f"x^{power}" if magnitude == 1 else f"{magnitude}*x^{power}"
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(terms) if terms else "0"

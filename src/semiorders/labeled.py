@@ -42,17 +42,14 @@ def stirling2_table(max_n: int) -> list[list[int]]:
     return table
 
 
-def substitute_one_minus_exp(coefficients, order: int | None = None) -> tuple[int, ...]:
+def substitute_one_minus_exp(coefficients) -> tuple[int, ...]:
     """Exponential coefficients of F(1 - e^(-x)) from ordinary ones of F.
 
     Entry n of the result is n! [x^n] F(1 - e^(-x)) =
     sum_k f_k (-1)^(n-k) k! S(n, k), an exact integer.
     """
     coeffs = tuple(coefficients)
-    if order is None:
-        order = len(coeffs) - 1
-    if order >= len(coeffs):
-        raise InvalidParametersError("input series is too short for the requested order")
+    order = len(coeffs) - 1
     stirling = stirling2_table(order)
     out = [coeffs[0]]
     for n in range(1, order + 1):
@@ -110,12 +107,6 @@ class OrderedSetPartition(Frozen):
     def __init__(self, blocks: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "blocks", _checked_blocks(blocks))
 
-    def __eq__(self, other):
-        return self.blocks == other.blocks if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self.blocks)
-
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
@@ -159,14 +150,6 @@ class LabeledSemiorder(Frozen):
             raise InvalidPartitionError("need exactly one label block per seed element")
         if seed.n and contraction(seed)[1] != (1,) * seed.n:
             raise InvalidPartitionError("the seed must be rigid: no two of its elements equivalent")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.seed == other.seed and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((self.seed, self.blocks))
 
     @property
     def n(self) -> int:

@@ -63,12 +63,6 @@ class GenericPoset(Frozen):
                         if rows[j][k] and not rows[i][k]:
                             raise ValueError("strict order must be transitive")
 
-    def __eq__(self, other):
-        return self.rows == other.rows if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
     @property
     def n(self) -> int:
         return len(self.rows)

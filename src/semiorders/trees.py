@@ -31,6 +31,22 @@ class MalformedDyckWordError(ValueError):
         self.position = position
 
 
+def _walk(tree: OrderedTree) -> str:
+    """Preorder walk: U entering each child, D leaving it; a Dyck word by construction."""
+    steps: list[str] = []
+    stack = [iter(tree.children)]
+    while stack:
+        for child in stack[-1]:  # the next child not yet entered, if any
+            steps.append("U")
+            stack.append(iter(child.children))
+            break
+        else:
+            stack.pop()
+            steps.append("D")
+    steps.pop()  # leaving the root is not a step
+    return "".join(steps)
+
+
 class OrderedTree(Frozen):
     """A rooted tree whose children carry a left-to-right order; it compares,
     hashes and prints through its Dyck word, so none of the three recurses."""
@@ -40,13 +56,7 @@ class OrderedTree(Frozen):
     def __init__(self, children: tuple["OrderedTree", ...] = ()):
         object.__setattr__(self, "children", children)
 
-    def __eq__(self, other):
-        if not isinstance(other, OrderedTree):
-            return NotImplemented
-        return _walk(self) == _walk(other)
-
-    def __hash__(self):
-        return hash(_walk(self))
+    _key = _walk
 
     def __repr__(self) -> str:
         return f"OrderedTree.from_text({self.to_text()!r})"
@@ -106,12 +116,6 @@ class DyckPath(Frozen):
         if altitude != 0:
             raise MalformedDyckWordError(len(word))
 
-    def __eq__(self, other):
-        return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self.word)
-
     @property
     def semilength(self) -> int:
         return len(self.word) // 2
@@ -142,22 +146,6 @@ def _height(word: str) -> int:
 def tree_to_dyck(tree: OrderedTree) -> DyckPath:
     """The tree's Dyck word, checked as every DyckPath is."""
     return DyckPath(_walk(tree))
-
-
-def _walk(tree: OrderedTree) -> str:
-    """Preorder walk: U entering each child, D leaving it; a Dyck word by construction."""
-    steps: list[str] = []
-    stack = [iter(tree.children)]
-    while stack:
-        for child in stack[-1]:  # the next child not yet entered, if any
-            steps.append("U")
-            stack.append(iter(child.children))
-            break
-        else:
-            stack.pop()
-            steps.append("D")
-    steps.pop()  # leaving the root is not a step
-    return "".join(steps)
 
 
 def dyck_to_tree(path: DyckPath) -> OrderedTree:

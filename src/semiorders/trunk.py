@@ -38,17 +38,6 @@ class TrunkTree(Frozen):
 
     __slots__ = ("leaf_counts",)
 
-    def __init__(self, leaf_counts: tuple[int, ...]):
-        object.__setattr__(self, "leaf_counts", leaf_counts)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.leaf_counts == other.leaf_counts
-
-    def __hash__(self):
-        return hash(self.leaf_counts)
-
     @property
     def trunk_length(self) -> int:
         return len(self.leaf_counts)
@@ -114,9 +103,21 @@ def _distinct_shapes(s: Semiorder) -> list[tuple[int, ...]]:
     (p_k, v_k) of sigma: lower element i hangs off the minimum with the
     largest v_j <= t_i, so trunk position p_j carries r_{v_j} - r_{v_{j+1}}
     leaves (r_{v_{k+1}} = 0).  The C_m possible minima sets are read off the
-    Dyck words of semilength m.
+    Dyck words of semilength m.  Upper entries that are not pairwise
+    distinct are flagged with HypothesisViolatedWarning, as the list may
+    then fall short of C_m.
     """
     m = upper_count(s)
+    uppers = s.rho[:m]
+    if len(set(uppers)) != m:
+        from .counting import catalan  # only this warning needs counting
+
+        warnings.warn(
+            HypothesisViolatedWarning(
+                f"upper entries {uppers} are not pairwise distinct; "
+                f"the count may fall short of C_{m} = {catalan(m)}"
+            )
+        )
     shapes = set()
     for path in all_dyck_words(m):
         pairs = dyck_to_rtlm(path)
@@ -134,17 +135,6 @@ def count_trunk_trees(s: Semiorder) -> int:
     Equals C_m when the upper entries are pairwise distinct; otherwise the
     count is still returned but flagged with HypothesisViolatedWarning.
     """
-    m = upper_count(s)
-    uppers = s.rho[:m]
-    if len(set(uppers)) != m:
-        from .counting import catalan  # only this warning needs counting
-
-        warnings.warn(
-            HypothesisViolatedWarning(
-                f"upper entries {uppers} are not pairwise distinct; "
-                f"the count may fall short of C_{m} = {catalan(m)}"
-            )
-        )
     return len(_distinct_shapes(s))
 
 

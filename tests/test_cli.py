@@ -159,6 +159,12 @@ class TestTrunkTrees:
         assert (code, text) == (0, "1\n")
         assert "distinct" in capsys.readouterr().err
 
+    def test_listing_notes_repeated_uppers_once(self, capsys):
+        assert invoke(["trunk-trees", "--rho", "2,2,0,0"]) == (0, "0,2\n")
+        assert capsys.readouterr().err == (
+            "note: upper entries (2, 2) are not pairwise distinct; the count may fall short of C_2 = 2\n"
+        )
+
     def test_listing_matches_permutation_definition(self):
         for rho in ("7,5,4,2,1,0,0,0,0,0,0,0", "3,3,1,0,0,0", "4,2,2,1,0,0,0,0", "0,0,0"):
             s = Semiorder.from_text(rho)

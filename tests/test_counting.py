@@ -15,7 +15,6 @@ from semiorders.counting import (
     count_by_good,
     count_exact,
     count_leq,
-    format_polynomial,
     p_polynomial,
     poly_mul,
     series_divide,
@@ -141,6 +140,16 @@ class TestTrig:
         assert err.value.n == 30 and err.value.h == 10
         assert err.value.residue > 0.25
 
+    def test_pi_cache_keeps_one_entry(self):
+        from semiorders import counting
+        from semiorders.counting import trig_count
+
+        counting._pi_cache.clear()
+        # precision grows with n, then lower precisions are served from the highest
+        for n in (*range(0, 40, 3), *range(36, 0, -3)):
+            assert trig_count(n, 4) == count_leq(n, 4, "series")
+        assert list(counting._pi_cache) == [35 + (62 * 39) // 100]
+
     def test_residues_small_at_scale(self):
         for h in (0, 5, 10):
             for n in (2, 17, 30):
@@ -188,13 +197,6 @@ class TestPolynomials:
             while len(rhs) > 1 and rhs[-1] == 0:
                 rhs = rhs[:-1]
             assert lhs == rhs
-
-    def test_format(self):
-        assert format_polynomial(p_polynomial(3)) == "1 - 3*x + x^2"
-        assert format_polynomial(p_polynomial(5)) == "1 - 5*x + 6*x^2 - x^3"
-        assert format_polynomial(()) == "0"
-        assert format_polynomial((0, 0)) == "0"
-        assert format_polynomial((-1, 2)) == "-1 + 2*x"
 
 
 class TestSeries:

@@ -56,10 +56,6 @@ class TestTransform:
         got = substitute_one_minus_exp(tuple(catalan(k) for k in range(6)))
         assert got == (1, 1, 3, 19, 183, 2371)
 
-    def test_too_short_input(self):
-        with pytest.raises(ValueError):
-            substitute_one_minus_exp((1, 1), order=5)
-
     @pytest.mark.parametrize("h", range(9))
     def test_nonnegative(self, h):
         assert all(g >= 0 for g in substitute_one_minus_exp(series_leq(h, 20)))

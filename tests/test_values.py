@@ -4,11 +4,14 @@ compares and hashes by its own fields within its own class, prints as
 
 import copy
 import pickle
+import pkgutil
+from importlib import import_module
 
 import pytest
 
+import semiorders
 from semiorders.bijection import level_linkage
-from semiorders.core import ComparabilityMatrix, Semiorder, comparability, level_profile
+from semiorders.core import ComparabilityMatrix, Frozen, LevelProfile, Semiorder, comparability, level_profile
 from semiorders.labeled import LabeledSemiorder, OrderedSetPartition
 from semiorders.oracle import GenericPoset
 from semiorders.trees import DyckPath, OrderedTree
@@ -138,3 +141,47 @@ def test_matrix_and_poset_with_equal_rows_are_unequal():
     assert ComparabilityMatrix(ROWS) != GenericPoset(ROWS)
     assert GenericPoset(ROWS) != ComparabilityMatrix(ROWS)
     assert Semiorder((1, 0)) != TrunkTree((1, 0))
+
+
+def package_value_classes():
+    """Every Frozen subclass the package defines, once all its submodules are loaded."""
+    for info in pkgutil.iter_modules(semiorders.__path__):
+        import_module(f"semiorders.{info.name}")
+    found, todo = [], [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("semiorders."):
+                found.append(cls)
+    return found
+
+
+def test_every_value_class_has_a_case():
+    assert sorted(cls.__qualname__ for cls in package_value_classes()) == sorted(CASES)
+
+
+def test_only_frozen_defines_eq_and_hash():
+    for cls in package_value_classes():
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
+
+
+def test_wrong_number_of_fields_is_a_type_error():
+    with pytest.raises(TypeError):
+        LevelProfile((1,))
+
+
+@each_class
+def test_repr_evaluates_back(name):
+    value = CASES[name][0]()
+    names = {cls.__qualname__: cls for cls in package_value_classes()}
+    assert eval(repr(value), names) == value
+
+
+def test_fields_by_keyword():
+    assert LevelProfile(sizes=(1, 1), level_of=(1, 2)) == LevelProfile((1, 2), (1, 1))
+    assert LevelProfile((1, 2), sizes=(1, 1)) == LevelProfile((1, 2), (1, 1))
+    for bad in ({"sizes": (1, 1)}, {"level_of": (1, 2), "sizes": (1, 1), "extra": 0}):
+        with pytest.raises(TypeError):
+            LevelProfile(**bad)
+    with pytest.raises(TypeError):
+        LevelProfile((1, 2), level_of=(1, 2))
