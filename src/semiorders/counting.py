@@ -20,6 +20,10 @@ n-element semiorders of length at most h, and they must all agree:
 
 Exact-length counts are differences of consecutive at-most counts, and
 count_by_good refines them by the number of good (deepest-level) elements.
+Marking the deepest level in the plane-tree continued fraction
+B_{j+1} = x / (1 - B_j), B_0 = x y (Flajolet, "Combinatorial aspects of
+continued fractions", 1980) gives them from the same p-polynomials, with
+no bound on n: t(n, h, k) = [x^(n-h-k)] p_{h-1}^(k-1) / p_h^(k+1), p_{-1} = 1.
 """
 
 from __future__ import annotations
@@ -60,50 +64,6 @@ def _comb0(a: int, b: int) -> int:
     return math.comb(a, b) if 0 <= b <= a else 0
 
 
-class CountTable:
-    """Memoized t(n, h, k): n-element length-h semiorders with k good elements.
-
-    Equivalently (n+1)-node plane trees of height h+1 with k deepest
-    nodes.  Base row t(n, 0, k) = [n == k]; for h >= 1,
-    t(n, h, k) = sum_m binom(m+k-1, m-1) t(n-k, h-1, m).  The table is
-    bounded so memory use stays predictable.
-    """
-
-    def __init__(self, max_n: int = 512):
-        self.max_n = max_n
-        self._memo: dict[tuple[int, int, int], int] = {}
-
-    def t(self, n: int, h: int, k: int) -> int:
-        if n < 1 or h < 0 or not 1 <= k <= n:
-            raise InvalidParametersError(f"need n >= 1, h >= 0, 1 <= k <= n; got {(n, h, k)}")
-        if n > self.max_n:
-            raise InvalidParametersError(f"n = {n} exceeds table bound {self.max_n}")
-        return self._t(n, h, k)
-
-    def _t(self, n: int, h: int, k: int) -> int:
-        if h == 0:
-            return 1 if n == k else 0
-        if h >= n:  # a chain of h edges needs h + 1 elements
-            return 0
-        key = (n, h, k)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = sum(
-                math.comb(m + k - 1, m - 1) * self._t(n - k, h - 1, m)
-                for m in range(1, n - k + 1)
-            )
-            self._memo[key] = cached
-        return cached
-
-
-_shared_table = CountTable()
-
-
-def count_by_good(n: int, h: int, k: int) -> int:
-    """t(n, h, k) from a shared bounded table."""
-    return _shared_table.t(n, h, k)
-
-
 def _leq_convolution(n: int, h: int) -> int:
     row = [1] * (n + 1)  # h = 0: only antichains
     for _ in range(h):
@@ -133,23 +93,10 @@ def _leq_alternating(n: int, h: int) -> int:
 
 
 def p_polynomial(h: int) -> tuple[int, ...]:
-    """Ascending coefficients of p_h: p_0 = 1, p_1 = 1 - x, p_{h+1} = p_h - x p_{h-1}."""
+    """Ascending coefficients of p_h = sum_j (-1)^j C(h+1-j, j) x^j (p_{h+1} = p_h - x p_{h-1})."""
     if h < 0:
         raise InvalidParametersError("need h >= 0")
-    prev, cur = (1,), (1, -1)
-    if h == 0:
-        return prev
-    for _ in range(h - 1):
-        shifted = (0,) + prev
-        width = max(len(cur), len(shifted))
-        nxt = tuple(
-            (cur[i] if i < len(cur) else 0) - (shifted[i] if i < len(shifted) else 0)
-            for i in range(width)
-        )
-        while len(nxt) > 1 and nxt[-1] == 0:
-            nxt = nxt[:-1]
-        prev, cur = cur, nxt
-    return cur
+    return tuple((-1) ** j * math.comb(h + 1 - j, j) for j in range((h + 3) // 2))
 
 
 def poly_mul(a, b) -> tuple[int, ...]:
@@ -194,6 +141,31 @@ def series_exact(h: int, order: int) -> tuple[int, ...]:
     h = min(h, order + 1)  # f(n, h) = 0 once h >= n
     numerator = (0,) * (h + 1) + (1,)
     return series_divide(numerator, poly_mul(p_polynomial(h + 1), p_polynomial(h)), order)
+
+
+_row_cache: dict[tuple[int, int], int] = {}  # one entry: the last row read, packed as below
+
+
+def count_by_good(n: int, h: int, k: int) -> int:
+    """t(n, h, k): n-element semiorders of length h with k good elements (plane trees: n+1
+    nodes, height h+1, k deepest) is [x^(n-h-k)] p_{h-1}^(k-1) / p_h^(k+1), with p_{-1} = 1
+    (Flajolet 1980; module docstring).  Keeps the last row."""
+    if n < 1 or h < 0 or not 1 <= k <= n:
+        raise InvalidParametersError(f"need n >= 1, h >= 0, 1 <= k <= n; got {(n, h, k)}")
+    if k > n - h:  # a chain of h edges needs h + 1 elements, k of them good
+        return 0
+    bits = 2 * n  # every count is below C_n < 4^n
+    if (n, h) not in _row_cache:
+        # sum_k t(n, h, k) y^k = [x^(n-h)] x y / (p_h (p_h - x y p_{h-1})); at y = 2^bits, one integer
+        # holding the row as base-y digits.  Divide by p_h, then by p_h - x y p_{h-1}, y as a shift.
+        top, p_h, lower = n - h, p_polynomial(h), p_polynomial(h - 1) if h else (1,)
+        f = list(series_divide((0, 1 << bits), p_h, top))
+        for m in range(1, top + 1):
+            f[m] -= sum(p_h[i] * f[m - i] for i in range(1, min(len(p_h), m + 1)))
+            f[m] += sum(lower[i] * f[m - 1 - i] for i in range(min(len(lower), m))) << bits
+        _row_cache.clear()
+        _row_cache[(n, h)] = f[top]
+    return _row_cache[(n, h)] >> bits * k & ((1 << bits) - 1)
 
 
 _pi_cache: dict[int, Decimal] = {}  # one entry, {precision: pi}, the highest computed so far

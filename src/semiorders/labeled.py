@@ -49,6 +49,8 @@ def substitute_one_minus_exp(coefficients) -> tuple[int, ...]:
     sum_k f_k (-1)^(n-k) k! S(n, k), an exact integer.
     """
     coeffs = tuple(coefficients)
+    if not coeffs:
+        raise InvalidParametersError("the series needs at least one coefficient")
     order = len(coeffs) - 1
     stirling = stirling2_table(order)
     out = [coeffs[0]]

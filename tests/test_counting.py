@@ -1,14 +1,19 @@
-"""Unlabeled counting: refined table, the five at-most routes, series, and
-closed forms."""
+"""Unlabeled counting: good-element counts, the five at-most routes, series,
+and closed forms."""
+
+import functools
+import math
+import time
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiorders import counting
+from semiorders.core import level_profile
 from semiorders.counting import (
     ClosedFormUnavailableError,
-    CountTable,
     InvalidParametersError,
     TrigPrecisionLossError,
     catalan,
@@ -22,6 +27,7 @@ from semiorders.counting import (
     series_leq,
     trig_estimate,
 )
+from semiorders.oracle import enumerate_semiorders
 from semiorders.trees import all_trees
 
 
@@ -56,21 +62,67 @@ class TestCountByGood:
 
     def test_invalid_parameters(self):
         for bad in [(0, 0, 1), (3, -1, 1), (3, 0, 0), (3, 0, 4)]:
-            with pytest.raises(InvalidParametersError):
+            with pytest.raises(InvalidParametersError, match="1 <= k <= n"):
                 count_by_good(*bad)
 
     def test_too_long_is_zero_and_not_memoised(self):
-        table = CountTable()
+        count_by_good(6, 2, 1)
+        cached = dict(counting._row_cache)
         for n in (1, 5, 12):
-            for h in (n, n + 1, 2 * n + 3):
-                assert [table.t(n, h, k) for k in range(1, n + 1)] == [0] * n
-        assert table._memo == {}
+            for h in (n, n + 1, 2 * n + 3, 10**6):
+                assert [count_by_good(n, h, k) for k in range(1, n + 1)] == [0] * n
+        assert counting._row_cache == cached
 
-    def test_table_bound(self):
-        table = CountTable(max_n=4)
-        assert table.t(4, 1, 2) == count_by_good(4, 1, 2)
-        with pytest.raises(InvalidParametersError):
-            table.t(5, 1, 2)
+    def test_keeps_one_row(self):
+        count_by_good(9, 2, 3)
+        count_by_good(11, 3, 1)
+        assert list(counting._row_cache) == [(11, 3)]
+
+    def test_against_memo_on_full_grid(self):
+        for n in range(1, 41):
+            for h in range(n + 3):
+                for k in range(1, n + 1):
+                    assert count_by_good(n, h, k) == reference_by_good(n, h, k), (n, h, k)
+
+    @settings(deadline=None)  # the reference memo is slow to fill at n near 120
+    @given(st.data())
+    def test_against_memo_on_random_grid(self, data):
+        n = data.draw(st.integers(1, 120))
+        h = data.draw(st.integers(0, n + 2))
+        k = data.draw(st.integers(1, n))
+        assert count_by_good(n, h, k) == reference_by_good(n, h, k)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_against_oracle(self, n):
+        observed = Counter()
+        for s in enumerate_semiorders(n):
+            profile = level_profile(s)
+            observed[profile.length, len(profile.good_elements)] += 1
+        assert observed == {
+            (h, k): count_by_good(n, h, k)
+            for h in range(n) for k in range(1, n + 1) if count_by_good(n, h, k)
+        }
+
+    def test_long_row_sums_to_exact_count(self):
+        start = time.perf_counter()
+        row = [count_by_good(600, 3, k) for k in range(1, 601)]
+        elapsed = time.perf_counter() - start
+        assert sum(row) == count_exact(600, 3)
+        assert elapsed < 2.0, f"row (600, 3) took {elapsed:.2f}s"
+
+
+@functools.lru_cache(maxsize=None)
+def reference_by_good(n, h, k):
+    """t(n, h, k) by the recursive memo: the k deepest nodes hang below the
+    m nodes one level up, C(m+k-1, m-1) ways, over the trees of height h-1."""
+    if h == 0:
+        return 1 if n == k else 0
+    if h >= n:  # a chain of h edges needs h + 1 elements
+        return 0
+    return sum(
+        math.comb(m + k - 1, m - 1) * reference_by_good(n - k, h - 1, m)
+        for m in range(1, n - k + 1)
+    )
 
 
 def tree_deepest_count(tree):
@@ -184,7 +236,8 @@ class TestPolynomials:
         assert p_polynomial(3) == (1, -3, 1)
 
     def test_recurrence(self):
-        for h in range(1, 12):
+        # with the base cases above, this pins the closed form to p_{h+1} = p_h - x p_{h-1}
+        for h in range(1, 300):
             lhs = p_polynomial(h + 1)
             rhs_main = p_polynomial(h)
             rhs_shift = (0,) + p_polynomial(h - 1)

@@ -11,7 +11,7 @@ from semiorders.core import (
     level_profile,
     up_set,
 )
-from semiorders.counting import catalan, series_leq
+from semiorders.counting import InvalidParametersError, catalan, series_leq
 from semiorders.labeled import (
     InvalidPartitionError,
     LabeledSemiorder,
@@ -59,6 +59,10 @@ class TestTransform:
     @pytest.mark.parametrize("h", range(9))
     def test_nonnegative(self, h):
         assert all(g >= 0 for g in substitute_one_minus_exp(series_leq(h, 20)))
+
+    def test_empty_series_is_rejected(self):
+        with pytest.raises(InvalidParametersError, match="at least one coefficient"):
+            substitute_one_minus_exp(())
 
 
 class TestLabeledCounts:
