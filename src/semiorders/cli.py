@@ -8,6 +8,7 @@ deterministic; enumeration follows lexicographic vector order.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -124,8 +125,7 @@ def _cmd_series(args, out) -> int:
 
     order = args.terms - 1
     if order < 0:
-        print("need --terms >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("need --terms >= 1")
     coefficients = (
         counting.series_leq(args.height, order)
         if args.at_most
@@ -198,7 +198,15 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:  # e.g. `semiorders enumerate --n 12 | head -1`
+        # as the Python docs advise: stdout goes to devnull so that the
+        # interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,14 +10,23 @@ paths of semilength m keyed by their peaks, Narayana-many for each fixed
 number of minima.  When the upper entries of the vector are pairwise
 distinct, the number of distinct tree shapes over all m! permutations is
 the Catalan number C_m.
+
+Shapes come straight from the upper entries r_1 >= ... >= r_m: position p
+carries phi(p) - phi(p+1) leaves, phi(p) = r_{w(p)}, w(p) = min sigma(p..m),
+phi(m+1) = 0.  The w are the nondecreasing sequences with w(1) = 1, w(p) <= p,
+so the shapes match the nonincreasing phi with phi(1) = r_1, phi(p) in
+{r_1..r_p} one to one.  Listing: O(m^2) per shape at most; counting: O(m^2).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from .core import Frozen, LengthTooLargeError, Semiorder, level_profile
-from .trees import DyckPath, all_dyck_words
+from itertools import accumulate, pairwise
+from operator import sub
+
+from .core import Frozen, LengthTooLargeError, Semiorder
+from .trees import DyckPath
 
 
 class NotAPermutationError(ValueError):
@@ -69,10 +78,9 @@ def rtl_minima(sigma) -> tuple[tuple[int, int], ...]:
 
 def upper_count(s: Semiorder) -> int:
     """Number of first-level elements of a length-<=1 semiorder."""
-    profile = level_profile(s)
-    if profile.length > 1:
+    if s.length > 1:
         raise LengthTooLargeError("trunk trees need length <= 1")
-    return profile.sizes[0]
+    return s.n - s.rho[0]
 
 
 def trunk_tree(s: Semiorder, sigma) -> TrunkTree:
@@ -96,46 +104,45 @@ def trunk_tree(s: Semiorder, sigma) -> TrunkTree:
     return TrunkTree(tuple(leaves))
 
 
-def _distinct_shapes(s: Semiorder) -> list[tuple[int, ...]]:
-    """Sorted leaf counts of {T(s, sigma)} over all permutations sigma.
-
-    T(s, sigma) only depends on the right-to-left minima (p_1, v_1), ...,
-    (p_k, v_k) of sigma: lower element i hangs off the minimum with the
-    largest v_j <= t_i, so trunk position p_j carries r_{v_j} - r_{v_{j+1}}
-    leaves (r_{v_{k+1}} = 0).  The C_m possible minima sets are read off the
-    Dyck words of semilength m.  Upper entries that are not pairwise
-    distinct are flagged with HypothesisViolatedWarning, as the list may
-    then fall short of C_m.
-    """
+def _upper_entries(s: Semiorder) -> tuple[int, ...]:
+    """r_1..r_m, flagged once with HypothesisViolatedWarning if two are equal."""
     m = upper_count(s)
     uppers = s.rho[:m]
     if len(set(uppers)) != m:
         from .counting import catalan  # only this warning needs counting
 
-        warnings.warn(
-            HypothesisViolatedWarning(
-                f"upper entries {uppers} are not pairwise distinct; "
-                f"the count may fall short of C_{m} = {catalan(m)}"
-            )
-        )
-    shapes = set()
-    for path in all_dyck_words(m):
-        pairs = dyck_to_rtlm(path)
-        below = [s.rho[value - 1] for _, value in pairs] + [0]
-        leaves = [0] * m
-        for j, (pos, _) in enumerate(pairs):
-            leaves[pos - 1] = below[j] - below[j + 1]
-        shapes.add(tuple(leaves))
-    return sorted(shapes)
+        warnings.warn(HypothesisViolatedWarning(
+            f"upper entries {uppers} are not pairwise distinct; "
+            f"the count may fall short of C_{m} = {catalan(m)}"))
+    return uppers
+
+
+def _distinct_shapes(s: Semiorder) -> list[tuple[int, ...]]:
+    """Sorted leaf counts of {T(s, sigma)}, one per phi (module docstring), at
+    O(m^2) work each at most: building phi with candidates largest first yields
+    the shapes in increasing order, so nothing is de-duplicated or sorted."""
+    uppers = _upper_entries(s)
+    values, chains = [uppers[0]], [uppers[:1]]
+    for previous, r in pairwise(uppers):
+        if r < previous:
+            values.append(r)
+        below = {v: values[i:] for i, v in enumerate(values)}  # phi(p + 1) once phi(p) = v
+        chains = [c + (v,) for c in chains for v in below[c[-1]]]
+    return [tuple(map(sub, c, c[1:] + (0,))) for c in chains]
 
 
 def count_trunk_trees(s: Semiorder) -> int:
-    """Size of {T(s, sigma) : sigma over all permutations of the trunk}.
-
-    Equals C_m when the upper entries are pairwise distinct; otherwise the
-    count is still returned but flagged with HypothesisViolatedWarning.
-    """
-    return len(_distinct_shapes(s))
+    """Size of {T(s, sigma)}: the phi of `_distinct_shapes`, counted in O(m^2)
+    additions.  ways[j] counts the prefixes ending at the j-th largest distinct
+    value so far; the next row is its prefix sums, padded with a zero at a new
+    value.  C_m for pairwise distinct upper entries; otherwise still counted,
+    but flagged with HypothesisViolatedWarning."""
+    ways = [1]
+    for previous, r in pairwise(_upper_entries(s)):
+        if r < previous:
+            ways.append(0)
+        ways = list(accumulate(ways))
+    return sum(ways)
 
 
 def narayana(m: int, k: int) -> int:

@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: golden outputs and exit codes."""
 
 import io
+import os
+import subprocess
 import sys
 import time
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -141,9 +144,10 @@ class TestSeries:
         code, text = invoke(["series", "--height", "1", "--terms", "6", "--at-most", "--labeled"])
         assert (code, text) == (0, "1,1,3,13,75,541\n")
 
-    def test_zero_terms_is_usage_error(self):
+    def test_zero_terms_is_usage_error(self, capsys):
         code, _ = invoke(["series", "--height", "1", "--terms", "0"])
         assert code == 1
+        assert capsys.readouterr().err == "semiorders: error: need --terms >= 1\n"
 
 
 class TestTrunkTrees:
@@ -272,3 +276,17 @@ class TestHugeHeight:
         start = time.perf_counter()
         assert invoke(argv) == (0, expected)
         assert time.perf_counter() - start < 2.0
+
+
+def test_closed_output_pipe_exits_one_without_traceback():
+    # as in `semiorders enumerate --n 12 | head -1`: the reader goes after one line
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    with subprocess.Popen(
+        [sys.executable, "-m", "semiorders.cli", "enumerate", "--n", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"0,0,0,0,0,0,0,0,0,0,0,0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err

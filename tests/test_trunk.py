@@ -1,10 +1,15 @@
 """Trunk trees, right-to-left minima, and the peak bijection with Dyck paths."""
 
+import io
+import time
 import warnings
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semiorders.cli import run
 from semiorders.core import LengthTooLargeError, Semiorder, level_profile
 from semiorders.counting import catalan
 from semiorders.oracle import enumerate_semiorders
@@ -14,6 +19,7 @@ from semiorders.trunk import (
     InvalidRtlmSetError,
     NotAPermutationError,
     TrunkTree,
+    _distinct_shapes,
     count_trunk_trees,
     dyck_to_rtlm,
     narayana,
@@ -28,6 +34,37 @@ TWELVE_ELEMENT = Semiorder((7, 5, 4, 2, 1, 0, 0, 0, 0, 0, 0, 0))
 
 def staircase(m):
     return Semiorder(tuple(range(m, 0, -1)) + (0,) * m)
+
+
+def reference_shapes(s):
+    """Sorted distinct shapes by the C_m walk: every Dyck word of semilength
+    m gives a right-to-left-minima set (p_1, v_1), ..., (p_k, v_k), and
+    position p_j carries r_{v_j} - r_{v_{j+1}} leaves (r_{v_{k+1}} = 0)."""
+    m = upper_count(s)
+    shapes = set()
+    for path in all_dyck_words(m):
+        pairs = dyck_to_rtlm(path)
+        below = [s.rho[value - 1] for _, value in pairs] + [0]
+        leaves = [0] * m
+        for j, (pos, _) in enumerate(pairs):
+            leaves[pos - 1] = below[j] - below[j + 1]
+        shapes.add(tuple(leaves))
+    return sorted(shapes)
+
+
+def length_one(uppers):
+    """The length-<=1 vector whose upper entries are ``uppers``: r_1 lower
+    elements, each below nothing."""
+    return Semiorder(tuple(uppers) + (0,) * uppers[0])
+
+
+@st.composite
+def repeated_uppers(draw):
+    """Upper entries r_1 >= ... >= r_m with m <= 9, drawn from few values so
+    that repeats are common."""
+    lower = draw(st.integers(0, 6))
+    rest = draw(st.lists(st.integers(0, lower), max_size=8))
+    return (lower,) + tuple(sorted(rest, reverse=True))
 
 
 class TestRtlMinima:
@@ -166,3 +203,57 @@ class TestPeakBijection:
             rtlm_to_dyck(((1, 1), (2, 2)), 3)  # last position must be m
         with pytest.raises(InvalidRtlmSetError):
             rtlm_to_dyck((), 3)
+
+
+class TestShapesFromUpperEntries:
+    """The listing and the count read the shapes straight off the upper
+    entries; the C_m Dyck-word walk is the reference."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_length_one_vector(self, n):
+        for s in enumerate_semiorders(n):
+            if s.length > 1:
+                continue
+            expected = reference_shapes(s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", HypothesisViolatedWarning)
+                assert _distinct_shapes(s) == expected
+                assert count_trunk_trees(s) == len(expected)
+
+    @settings(deadline=None)  # the reference walks 4,862 words at m = 9
+    @given(repeated_uppers())
+    def test_drawn_upper_entries(self, uppers):
+        s = length_one(uppers)
+        expected = reference_shapes(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HypothesisViolatedWarning)
+            assert _distinct_shapes(s) == expected
+            assert count_trunk_trees(s) == len(expected)
+
+    @pytest.mark.parametrize("j, a, b", [(1, 1, 0), (1, 5, 2), (150, 3, 1), (299, 2, 0), (300, 4, 3)])
+    def test_two_values_closed_form(self, j, a, b):
+        # phi stays at a up to position j, then drops to b at q in j+1..m or never
+        m = 300
+        s = length_one((a,) * j + (b,) * (m - j))
+        expected = [(0,) * (m - 1) + (a,)]
+        for q in range(m, j, -1):
+            leaves = [0] * m
+            leaves[q - 2] += a - b
+            leaves[m - 1] += b
+            expected.append(tuple(leaves))
+        with pytest.warns(HypothesisViolatedWarning):
+            assert count_trunk_trees(s) == m - j + 1
+        with pytest.warns(HypothesisViolatedWarning):
+            assert _distinct_shapes(s) == sorted(expected) == expected
+
+    def test_staircase_count_is_fast(self):
+        start = time.perf_counter()
+        assert count_trunk_trees(staircase(200)) == catalan(200)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cli_listing_matches_reference(self):
+        s = staircase(9)
+        expected = "".join(",".join(map(str, shape)) + "\n" for shape in reference_shapes(s))
+        out = io.StringIO()
+        assert run(["trunk-trees", "--rho", s.to_text()], out) == 0
+        assert out.getvalue() == expected
