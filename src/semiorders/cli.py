@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import warnings
+from itertools import islice
 
 # counting.METHODS and verify.SUITES spelled out, so that only count, series and
 # verify load those modules; each subcommand imports what it runs
@@ -113,6 +114,8 @@ def _cmd_count(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     from . import oracle
 
+    if args.max_height is not None and args.max_height < 0:
+        raise ValueError("need --max-height >= 0")
     for s in oracle.enumerate_semiorders(args.n, force=args.force):
         if args.max_height is not None and s.n and s.length > args.max_height:
             continue
@@ -126,16 +129,15 @@ def _cmd_series(args, out) -> int:
     order = args.terms - 1
     if order < 0:
         raise ValueError("need --terms >= 1")
-    coefficients = (
-        counting.series_leq(args.height, order)
-        if args.at_most
-        else counting.series_exact(args.height, order)
-    )
+    # streamed as the stepper yields them, so only its window is held; --labeled collects them
+    fraction = counting._fraction(args.height, order, args.at_most)
+    coefficients = islice(counting._coefficients(*fraction), args.terms)
     if args.labeled:
         from . import labeled
 
         coefficients = labeled.substitute_one_minus_exp(coefficients)
-    print(",".join(str(c) for c in coefficients), file=out)
+    out.writelines(f",{c}" if i else str(c) for i, c in enumerate(coefficients))
+    out.write("\n")
     return 0
 
 
@@ -148,7 +150,7 @@ def _cmd_trunk(args, out) -> int:
         if args.count_only:
             print(trunk.count_trunk_trees(s), file=out)
         else:
-            for shape in trunk._distinct_shapes(s):
+            for shape in trunk._shapes(s):
                 print(",".join(str(c) for c in shape), file=out)
     for warning in caught:
         if issubclass(warning.category, trunk.HypothesisViolatedWarning):

@@ -24,11 +24,17 @@ Marking the deepest level in the plane-tree continued fraction
 B_{j+1} = x / (1 - B_j), B_0 = x y (Flajolet, "Combinatorial aspects of
 continued fractions", 1980) gives them from the same p-polynomials, with
 no bound on n: t(n, h, k) = [x^(n-h-k)] p_{h-1}^(k-1) / p_h^(k+1), p_{-1} = 1.
+
+Every polynomial division runs through one stepper, ``_coefficients``, which
+keeps only the last deg(denominator) coefficients: a single count holds O(h).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from itertools import chain, islice, repeat
+from operator import mul
 
 METHODS = ("convolution", "alternating", "series", "trig", "closed")
 
@@ -109,6 +115,30 @@ def poly_mul(a, b) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _coefficients(numerator, denominator, shifted=(), bits=0):
+    """Yield c_0, c_1, ... of numerator / (denominator - x 2^bits shifted), denominator[0] = 1:
+    c_m = a_m - sum_{i>=1} d_i c_{m-i} + 2^bits sum_{i>=0} s_i c_{m-1-i}, keeping that window only.
+    numerator is any iterable (another stepper too); shifting beats multiplying by big d_i."""
+    tail = denominator[1:]
+    width = max(len(tail), len(shifted))
+    window = deque([0] * width, maxlen=width)  # c_{m-1}, c_{m-2}, ...
+    for a in chain(numerator, repeat(0)):
+        c = a - sum(map(mul, tail, window))
+        if shifted:
+            c += sum(map(mul, shifted, window)) << bits
+        window.appendleft(c)
+        yield c
+
+
+def _fraction(h: int, order: int, at_most: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """p_h / p_{h+1}, entry n f_leq(n, h) (at_most), or x^(h+1) / (p_{h+1} p_h), entry n f(n, h);
+    an h past order + 1 is lowered to it, which moves no entry 0..order."""
+    h = min(h, order + 1)
+    if at_most:
+        return p_polynomial(h), p_polynomial(h + 1)
+    return (0,) * (h + 1) + (1,), poly_mul(p_polynomial(h + 1), p_polynomial(h))
+
+
 def series_divide(numerator, denominator, order: int) -> tuple[int, ...]:
     """First order+1 coefficients of numerator/denominator, exactly.
 
@@ -119,28 +149,17 @@ def series_divide(numerator, denominator, order: int) -> tuple[int, ...]:
         raise InvalidParametersError("need order >= 0")
     if not denominator or denominator[0] != 1:
         raise InvalidParametersError("denominator must have constant term 1")
-    remainder = list(numerator[: order + 1]) + [0] * max(0, order + 1 - len(numerator))
-    out = []
-    for n in range(order + 1):
-        c = remainder[n]
-        out.append(c)
-        if c:
-            for i in range(1, min(len(denominator), order + 1 - n)):
-                remainder[n + i] -= c * denominator[i]
-    return tuple(out)
+    return tuple(islice(_coefficients(numerator, denominator), order + 1))
 
 
 def series_leq(h: int, order: int) -> tuple[int, ...]:
     """Coefficients 0..order of p_h / p_{h+1}; entry n is f_leq(n, h)."""
-    h = min(h, order + 1)  # f_leq(n, h) = C_n once h >= n - 1
-    return series_divide(p_polynomial(h), p_polynomial(h + 1), order)
+    return series_divide(*_fraction(h, order, True), order)
 
 
 def series_exact(h: int, order: int) -> tuple[int, ...]:
     """Coefficients 0..order of x^(h+1) / (p_{h+1} p_h); entry n is f(n, h)."""
-    h = min(h, order + 1)  # f(n, h) = 0 once h >= n
-    numerator = (0,) * (h + 1) + (1,)
-    return series_divide(numerator, poly_mul(p_polynomial(h + 1), p_polynomial(h)), order)
+    return series_divide(*_fraction(h, order, False), order)
 
 
 _row_cache: dict[tuple[int, int], int] = {}  # one entry: the last row read, packed as below
@@ -158,13 +177,10 @@ def count_by_good(n: int, h: int, k: int) -> int:
     if (n, h) not in _row_cache:
         # sum_k t(n, h, k) y^k = [x^(n-h)] x y / (p_h (p_h - x y p_{h-1})); at y = 2^bits, one integer
         # holding the row as base-y digits.  Divide by p_h, then by p_h - x y p_{h-1}, y as a shift.
-        top, p_h, lower = n - h, p_polynomial(h), p_polynomial(h - 1) if h else (1,)
-        f = list(series_divide((0, 1 << bits), p_h, top))
-        for m in range(1, top + 1):
-            f[m] -= sum(p_h[i] * f[m - i] for i in range(1, min(len(p_h), m + 1)))
-            f[m] += sum(lower[i] * f[m - 1 - i] for i in range(min(len(lower), m))) << bits
+        p_h, lower = p_polynomial(h), p_polynomial(h - 1) if h else (1,)
+        row = _coefficients(_coefficients((0, 1 << bits), p_h), p_h, lower, bits)
         _row_cache.clear()
-        _row_cache[(n, h)] = f[top]
+        _row_cache[(n, h)] = next(islice(row, n - h, None))
     return _row_cache[(n, h)] >> bits * k & ((1 << bits) - 1)
 
 
@@ -279,8 +295,8 @@ def count_leq(n: int, h: int, method: str = "convolution") -> int:
         return _leq_convolution(n, h)
     if method == "alternating":
         return _leq_alternating(n, h)
-    if method == "series":
-        return series_leq(h, n)[n]
+    if method == "series":  # coefficient n alone, from an O(h) window
+        return next(islice(_coefficients(*_fraction(h, n, True)), n, None))
     if method == "trig":
         return trig_count(n, h)
     if method == "closed":
@@ -300,5 +316,7 @@ def count_exact(n: int, h: int, method: str = "convolution") -> int:
         return 0
     if h == 0:
         return 1
+    if method == "series":  # one pass over x^(h+1) / (p_{h+1} p_h), as series_exact
+        return next(islice(_coefficients(*_fraction(h, n, False)), n, None))
     return count_leq(n, h, method) - count_leq(n, h - 1, method)
 

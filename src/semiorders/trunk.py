@@ -15,7 +15,7 @@ Shapes come straight from the upper entries r_1 >= ... >= r_m: position p
 carries phi(p) - phi(p+1) leaves, phi(p) = r_{w(p)}, w(p) = min sigma(p..m),
 phi(m+1) = 0.  The w are the nondecreasing sequences with w(1) = 1, w(p) <= p,
 so the shapes match the nonincreasing phi with phi(1) = r_1, phi(p) in
-{r_1..r_p} one to one.  Listing: O(m^2) per shape at most; counting: O(m^2).
+{r_1..r_p} one to one.  Listing: O(m) per shape, streamed; counting: O(m^2).
 """
 
 from __future__ import annotations
@@ -117,22 +117,29 @@ def _upper_entries(s: Semiorder) -> tuple[int, ...]:
     return uppers
 
 
-def _distinct_shapes(s: Semiorder) -> list[tuple[int, ...]]:
-    """Sorted leaf counts of {T(s, sigma)}, one per phi (module docstring), at
-    O(m^2) work each at most: building phi with candidates largest first yields
-    the shapes in increasing order, so nothing is de-duplicated or sorted."""
+def _shapes(s: Semiorder):
+    """Leaf counts of {T(s, sigma)} in increasing order, one per phi (module docstring), in O(m)
+    memory: the lexicographic successor, candidates largest first, lowers the last phi(p) > r_p."""
     uppers = _upper_entries(s)
-    values, chains = [uppers[0]], [uppers[:1]]
-    for previous, r in pairwise(uppers):
-        if r < previous:
-            values.append(r)
-        below = {v: values[i:] for i, v in enumerate(values)}  # phi(p + 1) once phi(p) = v
-        chains = [c + (v,) for c in chains for v in below[c[-1]]]
-    return [tuple(map(sub, c, c[1:] + (0,))) for c in chains]
+    smaller = {r: below for r, below in pairwise(uppers) if below < r}  # the next distinct entry down
+    m = len(uppers)
+    phi = [uppers[0]] * m + [0]  # phi(m + 1) = 0
+    while True:
+        yield tuple(map(sub, phi, phi[1:]))
+        p = m - 1
+        while p and phi[p] == uppers[p]:
+            p -= 1
+        if not p:
+            return
+        phi[p:m] = [smaller[phi[p]]] * (m - p)
+
+
+def _distinct_shapes(s: Semiorder) -> list[tuple[int, ...]]:
+    return list(_shapes(s))
 
 
 def count_trunk_trees(s: Semiorder) -> int:
-    """Size of {T(s, sigma)}: the phi of `_distinct_shapes`, counted in O(m^2)
+    """Size of {T(s, sigma)}: the phi of `_shapes`, counted in O(m^2)
     additions.  ways[j] counts the prefixes ending at the j-th largest distinct
     value so far; the next row is its prefix sums, padded with a zero at a new
     value.  C_m for pairwise distinct upper entries; otherwise still counted,

@@ -89,6 +89,10 @@ class TestEnumerate:
         assert invoke(["enumerate", "--n", "-1"]) == (1, "")
         assert capsys.readouterr().err == "semiorders: error: need n >= 0; got -1\n"
 
+    def test_negative_max_height_is_usage_error(self, capsys):
+        assert invoke(["enumerate", "--n", "3", "--max-height", "-1"]) == (1, "")
+        assert capsys.readouterr().err == "semiorders: error: need --max-height >= 0\n"
+
     def test_deterministic(self):
         first = invoke(["enumerate", "--n", "6", "--format", "dyck"])
         second = invoke(["enumerate", "--n", "6", "--format", "dyck"])
@@ -144,6 +148,13 @@ class TestSeries:
         code, text = invoke(["series", "--height", "1", "--terms", "6", "--at-most", "--labeled"])
         assert (code, text) == (0, "1,1,3,13,75,541\n")
 
+    @pytest.mark.parametrize("height, terms", [(0, 1), (3, 40), (8, 200), (5000, 6)])
+    def test_streamed_output_equals_the_joined_series(self, height, terms):
+        # without --labeled each coefficient is written as the stepper yields it
+        for flag, series in (([], counting.series_exact), (["--at-most"], counting.series_leq)):
+            code, text = invoke(["series", "--height", str(height), "--terms", str(terms), *flag])
+            assert (code, text) == (0, ",".join(str(c) for c in series(height, terms - 1)) + "\n")
+
     def test_zero_terms_is_usage_error(self, capsys):
         code, _ = invoke(["series", "--height", "1", "--terms", "0"])
         assert code == 1
@@ -194,6 +205,14 @@ class TestVerify:
         code, text = invoke(["verify", "--suite", "all", "--max-n", "3"])
         assert code == 0
         assert all(line.endswith(" OK") for line in text.splitlines())
+
+    def test_recurrences_cap_max_n_at_sixty(self):
+        start = time.perf_counter()
+        code, text = invoke(["verify", "--suite", "recurrences", "--max-n", "10000"])
+        assert time.perf_counter() - start < 20.0
+        lines = text.splitlines()
+        assert code == 0 and len(lines) == 12
+        assert all(line.endswith(" n<=60 OK") for line in lines)
 
     def test_zero_max_n_is_usage_error(self, capsys):
         code, text = invoke(["verify", "--suite", "bijection", "--max-n", "0"])
@@ -276,6 +295,35 @@ class TestHugeHeight:
         start = time.perf_counter()
         assert invoke(argv) == (0, expected)
         assert time.perf_counter() - start < 2.0
+
+
+def test_series_count_peaks_in_bounded_memory():
+    # the series route holds the denominator's window, not every coefficient
+    # (this command peaked at 272 MB when it kept the whole series).  A small
+    # wrapper starts the CLI and reports its peak: a child forked straight from
+    # this large test process would count the pages it shared at the fork.
+    n = 50000
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.run(sys.argv[1:]).returncode\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, sys.executable, "-m", "semiorders.cli",
+         "count", "--n", str(n), "--height", "3", "--at-most", "--mode", "series"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    peak_kb = int(proc.stderr)  # ru_maxrss is in kB on Linux
+    assert peak_kb < 50 * 1024, f"peak {peak_kb / 1024:.0f} MB"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(proc.stdout) == (3 ** (n - 1) + 1) // 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_closed_output_pipe_exits_one_without_traceback():

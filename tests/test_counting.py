@@ -322,3 +322,55 @@ class TestCountExact:
                 + count_exact(n - 2, 1)
             )
             assert lhs == rhs
+
+
+def reference_divide(numerator, denominator, order):
+    """Long division as it was written before the windowed stepper: every
+    coefficient, and a remainder list just as long."""
+    remainder = list(numerator[: order + 1]) + [0] * max(0, order + 1 - len(numerator))
+    out = []
+    for n in range(order + 1):
+        c = remainder[n]
+        out.append(c)
+        if c:
+            for i in range(1, min(len(denominator), order + 1 - n)):
+                remainder[n + i] -= c * denominator[i]
+    return tuple(out)
+
+
+def reference_row(n, h):
+    """The good-element row (n, h) packed at y = 2^(2n), by the hand-written
+    second division that preceded the chained steppers."""
+    bits = 2 * n
+    top, p_h, lower = n - h, p_polynomial(h), p_polynomial(h - 1) if h else (1,)
+    f = list(reference_divide((0, 1 << bits), p_h, top))
+    for m in range(1, top + 1):
+        f[m] -= sum(p_h[i] * f[m - i] for i in range(1, min(len(p_h), m + 1)))
+        f[m] += sum(lower[i] * f[m - 1 - i] for i in range(min(len(lower), m))) << bits
+    return [f[top] >> bits * k & ((1 << bits) - 1) for k in range(1, n + 1)]
+
+
+class TestStepper:
+    """Every division goes through counting._coefficients; the loops it
+    replaced are the references."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 200), st.integers(0, 30))
+    def test_against_the_full_division(self, n, h):
+        leq = reference_divide(p_polynomial(h), p_polynomial(h + 1), n)
+        lower = reference_divide(p_polynomial(h - 1), p_polynomial(h), n) if h else (1,) + (0,) * n
+        denominator = poly_mul(p_polynomial(h + 1), p_polynomial(h))
+        exact = reference_divide((0,) * (h + 1) + (1,), denominator, n)
+        assert series_leq(h, n) == leq
+        assert series_exact(h, n) == exact
+        assert count_leq(n, h, "series") == leq[n]
+        assert count_exact(n, h, "series") == (leq[n] - lower[n] if n else 0) == exact[n]
+        if h < n:
+            assert [count_by_good(n, h, k) for k in range(1, n + 1)] == reference_row(n, h)
+
+    @given(st.lists(st.integers(-9, 9), max_size=6), st.lists(st.integers(-9, 9), max_size=5),
+           st.integers(0, 30))
+    def test_divide_matches_the_remainder_loop(self, numerator, tail, order):
+        denominator = (1, *tail)
+        expected = reference_divide(numerator, denominator, order)
+        assert series_divide(numerator, denominator, order) == expected

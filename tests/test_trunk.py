@@ -3,7 +3,7 @@
 import io
 import time
 import warnings
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from semiorders.trunk import (
     NotAPermutationError,
     TrunkTree,
     _distinct_shapes,
+    _shapes,
     count_trunk_trees,
     dyck_to_rtlm,
     narayana,
@@ -257,3 +258,11 @@ class TestShapesFromUpperEntries:
         out = io.StringIO()
         assert run(["trunk-trees", "--rho", s.to_text()], out) == 0
         assert out.getvalue() == expected
+
+    def test_listing_streams(self):
+        # C_60 shapes could never be held; the first ones come at once, in order
+        start = time.perf_counter()
+        first = list(islice(_shapes(staircase(60)), 2000))
+        assert time.perf_counter() - start < 1.0
+        assert first[0] == (0,) * 59 + (60,)
+        assert first == sorted(set(first))
