@@ -129,13 +129,14 @@ def _cmd_series(args, out) -> int:
     order = args.terms - 1
     if order < 0:
         raise ValueError("need --terms >= 1")
-    # streamed as the stepper yields them, so only its window is held; --labeled collects them
+    # streamed as the stepper yields them, so only its window is held; --labeled
+    # also holds the coefficients so far and one row of its transform
     fraction = counting._fraction(args.height, order, args.at_most)
     coefficients = islice(counting._coefficients(*fraction), args.terms)
     if args.labeled:
         from . import labeled
 
-        coefficients = labeled.substitute_one_minus_exp(coefficients)
+        coefficients = labeled._substituted(coefficients)
     out.writelines(f",{c}" if i else str(c) for i, c in enumerate(coefficients))
     out.write("\n")
     return 0

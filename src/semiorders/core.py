@@ -220,17 +220,6 @@ def comparability(s: Semiorder) -> ComparabilityMatrix:
     return ComparabilityMatrix(rows)
 
 
-def up_set(s: Semiorder, j: int) -> frozenset[int]:
-    """Elements strictly above element j.  Always a prefix of 1..j-1."""
-    n = s.n
-    return frozenset(i for i in range(1, j) if s.rho[i - 1] > n - j)
-
-
-def down_set(s: Semiorder, i: int) -> frozenset[int]:
-    """Elements strictly below element i: the r_i rightmost elements."""
-    return frozenset(range(s.n - s.rho[i - 1] + 1, s.n + 1))
-
-
 def level_profile(s: Semiorder) -> LevelProfile:
     """Assign levels to elements and report per-level sizes.
 
@@ -271,26 +260,6 @@ def bad_elements(s: Semiorder) -> dict[int, int]:
         if below_all_above and above_none_below:
             found[lv] = end
     return found
-
-
-def semiorder_from_matrix(rows) -> Semiorder:
-    """Canonicalize a strictly-greater matrix that represents a semiorder.
-
-    Elements are ordered by (below-count descending, above-count
-    ascending); the resulting vector must reproduce the matrix under the
-    rightmost-suffix rule, otherwise the input was not a semiorder and a
-    ValueError is raised.
-    """
-    n = len(rows)
-    below = [sum(row) for row in rows]
-    above = [sum(rows[i][j] for i in range(n)) for j in range(n)]
-    order = sorted(range(n), key=lambda e: (-below[e], above[e]))
-    s = Semiorder(tuple(below[e] for e in order))
-    for pi, ei in enumerate(order, start=1):
-        for pj, ej in enumerate(order, start=1):
-            if bool(rows[ei][ej]) != s.greater(pi, pj):
-                raise ValueError("matrix is not the comparability relation of a semiorder")
-    return s
 
 
 def induced(s: Semiorder, elements) -> Semiorder:

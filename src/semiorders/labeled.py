@@ -3,9 +3,11 @@
 Labeled counts come from the unlabeled ordinary generating functions by
 substituting 1 - e^(-x), carried out exactly on truncated series through
 
-    n! [x^n] (1 - e^(-x))^k  =  (-1)^(n-k) * k! * S(n, k)
+    n! [x^n] (1 - e^(-x))^k  =  T(n, k)  =  (-1)^(n-k) * k! * S(n, k)
 
-with S the Stirling numbers of the second kind.  A labeled semiorder is
+with S the Stirling numbers of the second kind.  S(n, k) = k S(n-1, k) +
+S(n-1, k-1) gives T(n, k) = k (T(n-1, k-1) - T(n-1, k)), so one row of T,
+rolled forward in place, is all the transform holds.  A labeled semiorder is
 stored as its contraction seed plus the ordered label blocks of the
 equivalence classes; seeds of semiorders are rigid, so within-class label
 choices never matter and this form is canonical.  For length <= 1 the
@@ -16,9 +18,10 @@ order onto the classes of the staircase seed (m, m-1, ..., 1, 0, ..., 0).
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
+from operator import mul
 
-from .core import Frozen, LengthTooLargeError, Semiorder, contraction, expansion, semiorder_from_matrix
+from .core import Frozen, LengthTooLargeError, Semiorder, contraction, expansion
 from .counting import InvalidParametersError, series_exact, series_leq
 
 
@@ -27,19 +30,25 @@ class InvalidPartitionError(ValueError):
     label the classes of a rigid seed one to one."""
 
 
-def stirling2_table(max_n: int) -> list[list[int]]:
-    """S(n, k) for 0 <= k <= n <= max_n; S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
-    if max_n < 0:
-        raise InvalidParametersError("need max_n >= 0")
-    table = [[1]]
-    for n in range(1, max_n + 1):
-        row = [0] * (n + 1)
-        prev = table[n - 1]
-        for k in range(1, n + 1):
-            row[k] = k * prev[k] if k < n else 0
-            row[k] += prev[k - 1]
-        table.append(row)
-    return table
+def _rows():
+    """Yield T(n, 0..n) for n = 0, 1, ... as one list updated in place: use a
+    row before taking the next.  T(n, k) = k (T(n-1, k-1) - T(n-1, k)) for
+    k = n..1, then T(n, 0) = 0."""
+    row = [1]
+    while True:
+        yield row
+        row.append(0)
+        for k in range(len(row) - 1, 0, -1):
+            row[k] = k * (row[k - 1] - row[k])
+        row[0] = 0
+
+
+def _substituted(coefficients):
+    """Yield entry n of the transform as soon as coefficient n arrives."""
+    seen = []
+    for f, row in zip(coefficients, _rows()):
+        seen.append(f)
+        yield sum(map(mul, seen, row))
 
 
 def substitute_one_minus_exp(coefficients) -> tuple[int, ...]:
@@ -48,36 +57,29 @@ def substitute_one_minus_exp(coefficients) -> tuple[int, ...]:
     Entry n of the result is n! [x^n] F(1 - e^(-x)) =
     sum_k f_k (-1)^(n-k) k! S(n, k), an exact integer.
     """
-    coeffs = tuple(coefficients)
-    if not coeffs:
+    out = tuple(_substituted(coefficients))
+    if not out:
         raise InvalidParametersError("the series needs at least one coefficient")
-    order = len(coeffs) - 1
-    stirling = stirling2_table(order)
-    out = [coeffs[0]]
-    for n in range(1, order + 1):
-        factorial_k = 1
-        total = 0
-        for k in range(0, n + 1):
-            if k:
-                factorial_k *= k
-            sign = -1 if (n - k) % 2 else 1
-            total += coeffs[k] * sign * factorial_k * stirling[n][k]
-        out.append(total)
-    return tuple(out)
+    return out
+
+
+def _entry(series: tuple[int, ...]) -> int:
+    """The last entry of the transform of ``series``: one dot product with its row."""
+    return sum(map(mul, series, next(islice(_rows(), len(series) - 1, None))))
 
 
 def count_labeled_leq(n: int, h: int) -> int:
     """Labeled n-element semiorders of length at most h."""
     if n < 0 or h < 0:
         raise InvalidParametersError("need n >= 0 and h >= 0")
-    return substitute_one_minus_exp(series_leq(h, n))[n]
+    return _entry(series_leq(h, n))
 
 
 def count_labeled_exact(n: int, h: int) -> int:
     """Labeled n-element semiorders of length exactly h (0 at n = 0)."""
     if n < 0 or h < 0:
         raise InvalidParametersError("need n >= 0 and h >= 0")
-    return substitute_one_minus_exp(series_exact(h, n))[n]
+    return _entry(series_exact(h, n))
 
 
 def ordered_bell(n: int) -> int:
@@ -187,40 +189,6 @@ def labeled_semiorder_to_partition(labeled: LabeledSemiorder) -> OrderedSetParti
     if labeled.seed != staircase_seed(labeled.seed.n):
         raise LengthTooLargeError("only length-<=1 labeled semiorders come from partitions")
     return OrderedSetPartition(labeled.blocks)
-
-
-def labeled_from_relation(rows, labels=None) -> LabeledSemiorder:
-    """Canonicalize an explicit labeled strictly-greater matrix.
-
-    ``rows[a][b]`` says label a+1 is above label b+1 (or ``labels`` remaps
-    positions).  Equivalent labels are grouped, classes are ordered
-    canonically (class below-count descending, then above-count
-    ascending), and the seed is rebuilt from the class relation.
-    """
-    n = len(rows)
-    if labels is None:
-        labels = list(range(1, n + 1))
-    classes: list[list[int]] = []
-    signatures: list[tuple] = []
-    for a in range(n):
-        sig_down = frozenset(b for b in range(n) if rows[a][b])
-        sig_up = frozenset(b for b in range(n) if rows[b][a])
-        sig = (sig_down, sig_up)
-        for c, known in enumerate(signatures):
-            if known == sig:
-                classes[c].append(a)
-                break
-        else:
-            signatures.append(sig)
-            classes.append([a])
-    reps = [c[0] for c in classes]
-    below = [sum(1 for other in reps if rows[rep][other]) for rep in reps]
-    above = [sum(1 for other in reps if rows[other][rep]) for rep in reps]
-    order = sorted(range(len(reps)), key=lambda c: (-below[c], above[c]))
-    seed_rows = [[rows[reps[a]][reps[b]] for b in order] for a in order]
-    seed = semiorder_from_matrix(seed_rows)
-    blocks = tuple(tuple(labels[a] for a in classes[c]) for c in order)
-    return LabeledSemiorder(seed, blocks)
 
 
 def all_ordered_partitions(n: int):

@@ -134,10 +134,6 @@ def _shapes(s: Semiorder):
         phi[p:m] = [smaller[phi[p]]] * (m - p)
 
 
-def _distinct_shapes(s: Semiorder) -> list[tuple[int, ...]]:
-    return list(_shapes(s))
-
-
 def count_trunk_trees(s: Semiorder) -> int:
     """Size of {T(s, sigma)}: the phi of `_shapes`, counted in O(m^2)
     additions.  ways[j] counts the prefixes ending at the j-th largest distinct

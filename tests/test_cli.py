@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from semiorders import counting
+from semiorders import counting, labeled
 from semiorders.cli import run
 from semiorders.core import Semiorder
 from semiorders.trunk import trunk_tree, upper_count
@@ -155,6 +155,14 @@ class TestSeries:
             code, text = invoke(["series", "--height", str(height), "--terms", str(terms), *flag])
             assert (code, text) == (0, ",".join(str(c) for c in series(height, terms - 1)) + "\n")
 
+    @pytest.mark.parametrize("height, terms", [(0, 1), (1, 13), (3, 40), (8, 120), (5000, 6)])
+    def test_streamed_labeled_output_equals_the_joined_transform(self, height, terms):
+        # with --labeled each entry of the transform is written once its coefficient arrives
+        for flag, series in (([], counting.series_exact), (["--at-most"], counting.series_leq)):
+            code, text = invoke(["series", "--height", str(height), "--terms", str(terms), "--labeled", *flag])
+            expected = labeled.substitute_one_minus_exp(series(height, terms - 1))
+            assert (code, text) == (0, ",".join(str(c) for c in expected) + "\n")
+
     def test_zero_terms_is_usage_error(self, capsys):
         code, _ = invoke(["series", "--height", "1", "--terms", "0"])
         assert code == 1
@@ -297,12 +305,10 @@ class TestHugeHeight:
         assert time.perf_counter() - start < 2.0
 
 
-def test_series_count_peaks_in_bounded_memory():
-    # the series route holds the denominator's window, not every coefficient
-    # (this command peaked at 272 MB when it kept the whole series).  A small
-    # wrapper starts the CLI and reports its peak: a child forked straight from
-    # this large test process would count the pages it shared at the fork.
-    n = 50000
+def peak_of(argv):
+    """Run the CLI on ``argv`` and return (process, peak RSS in kB).  A small
+    wrapper starts the CLI and reports its peak: a child forked straight from
+    this large test process would count the pages it shared at the fork."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     wrapper = (
         "import resource, subprocess, sys\n"
@@ -311,12 +317,18 @@ def test_series_count_peaks_in_bounded_memory():
         "sys.exit(code)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", wrapper, sys.executable, "-m", "semiorders.cli",
-         "count", "--n", str(n), "--height", "3", "--at-most", "--mode", "series"],
+        [sys.executable, "-c", wrapper, sys.executable, "-m", "semiorders.cli", *argv],
         capture_output=True, env=env, timeout=120,
     )
     assert proc.returncode == 0
-    peak_kb = int(proc.stderr)  # ru_maxrss is in kB on Linux
+    return proc, int(proc.stderr)  # ru_maxrss is in kB on Linux
+
+
+def test_series_count_peaks_in_bounded_memory():
+    # the series route holds the denominator's window, not every coefficient
+    # (this command peaked at 272 MB when it kept the whole series)
+    n = 50000
+    proc, peak_kb = peak_of(["count", "--n", str(n), "--height", "3", "--at-most", "--mode", "series"])
     assert peak_kb < 50 * 1024, f"peak {peak_kb / 1024:.0f} MB"
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -324,6 +336,24 @@ def test_series_count_peaks_in_bounded_memory():
         assert int(proc.stdout) == (3 ** (n - 1) + 1) // 2
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_labeled_count_peaks_in_bounded_memory():
+    # the transform holds one row of signed k! S(n, k), not the whole Stirling
+    # table (this command peaked at 211 MB with the table)
+    n, h = 1000, 10
+    proc, peak_kb = peak_of(["count", "--n", str(n), "--height", str(h), "--labeled", "--at-most"])
+    assert peak_kb < 50 * 1024, f"peak {peak_kb / 1024:.0f} MB"
+    prime = (1 << 61) - 1  # checked modulo a prime, with S(n, k) mod p built row by row
+    stirling = [1]
+    for m in range(1, n + 1):
+        stirling = [0] + [(k * stirling[k] + stirling[k - 1]) % prime for k in range(1, m)] + [1]
+    expected = 0
+    factorial = 1
+    for k, f in enumerate(counting.series_leq(h, n)):
+        factorial = factorial * max(k, 1) % prime
+        expected += (-1) ** (n - k) * f * factorial * stirling[k]
+    assert int(proc.stdout) % prime == expected % prime  # 3,078 digits: under str()'s guard
 
 
 def test_closed_output_pipe_exits_one_without_traceback():

@@ -15,19 +15,47 @@ from semiorders.core import (
     bad_elements,
     comparability,
     contraction,
-    down_set,
     equivalence_classes,
     expansion,
     induced,
     join,
     level_profile,
-    semiorder_from_matrix,
     split,
-    up_set,
 )
 from semiorders.counting import count_leq
 from semiorders.oracle import enumerate_semiorders
 from semiorders.trees import DyckPath
+
+
+def up_set(s, j):
+    """Elements strictly above element j.  Always a prefix of 1..j-1."""
+    n = s.n
+    return frozenset(i for i in range(1, j) if s.rho[i - 1] > n - j)
+
+
+def down_set(s, i):
+    """Elements strictly below element i: the r_i rightmost elements."""
+    return frozenset(range(s.n - s.rho[i - 1] + 1, s.n + 1))
+
+
+def semiorder_from_matrix(rows):
+    """Canonicalize a strictly-greater matrix that represents a semiorder.
+
+    Elements are ordered by (below-count descending, above-count
+    ascending); the resulting vector must reproduce the matrix under the
+    rightmost-suffix rule, otherwise the input was not a semiorder and a
+    ValueError is raised.
+    """
+    n = len(rows)
+    below = [sum(row) for row in rows]
+    above = [sum(rows[i][j] for i in range(n)) for j in range(n)]
+    order = sorted(range(n), key=lambda e: (-below[e], above[e]))
+    s = Semiorder(tuple(below[e] for e in order))
+    for pi, ei in enumerate(order, start=1):
+        for pj, ej in enumerate(order, start=1):
+            if bool(rows[ei][ej]) != s.greater(pi, pj):
+                raise ValueError("matrix is not the comparability relation of a semiorder")
+    return s
 
 
 def closure(n, edges):

@@ -2,16 +2,17 @@
 bijection onto labeled length-<=1 semiorders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiorders.core import (
     LengthTooLargeError,
     Semiorder,
+    comparability,
     contraction,
-    down_set,
     level_profile,
-    up_set,
 )
-from semiorders.counting import InvalidParametersError, catalan, series_leq
+from semiorders.counting import InvalidParametersError, catalan, series_exact, series_leq
 from semiorders.labeled import (
     InvalidPartitionError,
     LabeledSemiorder,
@@ -19,15 +20,76 @@ from semiorders.labeled import (
     all_ordered_partitions,
     count_labeled_exact,
     count_labeled_leq,
-    labeled_from_relation,
     labeled_semiorder_to_partition,
     ordered_bell,
     partition_to_labeled_semiorder,
     staircase_seed,
-    stirling2_table,
     substitute_one_minus_exp,
 )
 from semiorders.oracle import enumerate_semiorders
+
+
+def stirling2_table(max_n):
+    """S(n, k) for 0 <= k <= n <= max_n; S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    table = [[1]]
+    for n in range(1, max_n + 1):
+        row = [0] * (n + 1)
+        prev = table[n - 1]
+        for k in range(1, n + 1):
+            row[k] = k * prev[k] if k < n else 0
+            row[k] += prev[k - 1]
+        table.append(row)
+    return table
+
+
+def reference_transform(coeffs):
+    """sum_k f_k (-1)^(n-k) k! S(n, k) for every n, straight off the Stirling table."""
+    order = len(coeffs) - 1
+    stirling = stirling2_table(order)
+    out = [coeffs[0]]
+    for n in range(1, order + 1):
+        factorial_k = 1
+        total = 0
+        for k in range(0, n + 1):
+            if k:
+                factorial_k *= k
+            sign = -1 if (n - k) % 2 else 1
+            total += coeffs[k] * sign * factorial_k * stirling[n][k]
+        out.append(total)
+    return tuple(out)
+
+
+def labeled_from_relation(rows):
+    """Canonicalize an explicit labeled strictly-greater matrix.
+
+    ``rows[a][b]`` says label a+1 is above label b+1.  Equivalent labels are grouped, classes are ordered
+    canonically (class below-count descending, then above-count
+    ascending), and the seed is read off the class relation, which it must
+    reproduce.
+    """
+    n = len(rows)
+    classes: list[list[int]] = []
+    signatures: list[tuple] = []
+    for a in range(n):
+        sig_down = frozenset(b for b in range(n) if rows[a][b])
+        sig_up = frozenset(b for b in range(n) if rows[b][a])
+        sig = (sig_down, sig_up)
+        for c, known in enumerate(signatures):
+            if known == sig:
+                classes[c].append(a)
+                break
+        else:
+            signatures.append(sig)
+            classes.append([a])
+    reps = [c[0] for c in classes]
+    below = [sum(1 for other in reps if rows[rep][other]) for rep in reps]
+    above = [sum(1 for other in reps if rows[other][rep]) for rep in reps]
+    order = sorted(range(len(reps)), key=lambda c: (-below[c], above[c]))
+    seed = Semiorder(tuple(below[c] for c in order))
+    if comparability(seed).rows != tuple(tuple(bool(rows[reps[a]][reps[b]]) for b in order) for a in order):
+        raise ValueError("matrix is not the comparability relation of a semiorder")
+    blocks = tuple(tuple(a + 1 for a in classes[c]) for c in order)
+    return LabeledSemiorder(seed, blocks)
 
 
 class TestStirling:
@@ -60,6 +122,11 @@ class TestTransform:
     def test_nonnegative(self, h):
         assert all(g >= 0 for g in substitute_one_minus_exp(series_leq(h, 20)))
 
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=80))
+    def test_matches_the_stirling_table(self, coeffs):
+        assert substitute_one_minus_exp(coeffs) == reference_transform(coeffs)
+
     def test_empty_series_is_rejected(self):
         with pytest.raises(InvalidParametersError, match="at least one coefficient"):
             substitute_one_minus_exp(())
@@ -88,6 +155,13 @@ class TestLabeledCounts:
                 assert count_labeled_exact(n, h) == count_labeled_leq(n, h) - count_labeled_leq(n, h - 1)
         assert count_labeled_exact(4, 0) == 1
         assert count_labeled_exact(0, 0) == 0  # same convention as the unlabeled side
+
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 200), st.integers(0, 30))
+    def test_one_coefficient_matches_the_whole_transform(self, n, h):
+        assert count_labeled_leq(n, h) == reference_transform(series_leq(h, n))[n]
+        assert count_labeled_exact(n, h) == reference_transform(series_exact(h, n))[n]
 
 
 class TestOrderedBell:
@@ -221,7 +295,8 @@ class TestRigidSeed:
     def test_exactly_the_rigid_seeds_construct(self, n):
         blocks = tuple((label,) for label in range(1, n + 1))
         for s in enumerate_semiorders(n):
-            relations = [(up_set(s, e), down_set(s, e)) for e in range(1, n + 1)]
+            rows = comparability(s).rows  # row e: what e is above; column e: what is above e
+            relations = [(tuple(r[e] for r in rows), rows[e]) for e in range(n)]
             if len(set(relations)) == n:  # no two elements compare alike with the rest
                 assert LabeledSemiorder(s, blocks).underlying() == s
             else:

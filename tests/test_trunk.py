@@ -19,7 +19,6 @@ from semiorders.trunk import (
     InvalidRtlmSetError,
     NotAPermutationError,
     TrunkTree,
-    _distinct_shapes,
     _shapes,
     count_trunk_trees,
     dyck_to_rtlm,
@@ -218,7 +217,7 @@ class TestShapesFromUpperEntries:
             expected = reference_shapes(s)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", HypothesisViolatedWarning)
-                assert _distinct_shapes(s) == expected
+                assert list(_shapes(s)) == expected
                 assert count_trunk_trees(s) == len(expected)
 
     @settings(deadline=None)  # the reference walks 4,862 words at m = 9
@@ -228,7 +227,7 @@ class TestShapesFromUpperEntries:
         expected = reference_shapes(s)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", HypothesisViolatedWarning)
-            assert _distinct_shapes(s) == expected
+            assert list(_shapes(s)) == expected
             assert count_trunk_trees(s) == len(expected)
 
     @pytest.mark.parametrize("j, a, b", [(1, 1, 0), (1, 5, 2), (150, 3, 1), (299, 2, 0), (300, 4, 3)])
@@ -245,7 +244,7 @@ class TestShapesFromUpperEntries:
         with pytest.warns(HypothesisViolatedWarning):
             assert count_trunk_trees(s) == m - j + 1
         with pytest.warns(HypothesisViolatedWarning):
-            assert _distinct_shapes(s) == sorted(expected) == expected
+            assert list(_shapes(s)) == sorted(expected) == expected
 
     def test_staircase_count_is_fast(self):
         start = time.perf_counter()
