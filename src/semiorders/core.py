@@ -146,6 +146,7 @@ class Semiorder(Frozen):
 
     def greater(self, i: int, j: int) -> bool:
         """True iff element i is strictly above element j (1-based)."""
+        _check_elements(self.n, i, j)
         return i != j and j > self.n - self.rho[i - 1]
 
     @classmethod
@@ -182,6 +183,7 @@ class ComparabilityMatrix(Frozen):
         return len(self.rows)
 
     def greater(self, i: int, j: int) -> bool:
+        _check_elements(self.n, i, j)
         return self.rows[i - 1][j - 1]
 
 
@@ -208,6 +210,12 @@ class LevelProfile(Frozen):
     def elements_on(self, level: int) -> range:
         start = 1 + sum(self.sizes[: level - 1])
         return range(start, start + self.sizes[level - 1])
+
+
+def _check_elements(n: int, *elements: int) -> None:
+    for e in elements:
+        if not 1 <= e <= n:
+            raise ValueError(f"element {e} is outside 1..{n}")
 
 
 def comparability(s: Semiorder) -> ComparabilityMatrix:
@@ -269,6 +277,8 @@ def induced(s: Semiorder, elements) -> Semiorder:
     chosen indices beyond n - r_e; that threshold only moves right.
     """
     chosen = sorted(set(elements))
+    if chosen:
+        _check_elements(s.n, chosen[0], chosen[-1])
     counts: list[int] = []
     passed = 0  # chosen indices at or before the current threshold
     for e in chosen:

@@ -4,9 +4,9 @@ Two generation routes that share nothing with the counting formulas:
 
 * every canonical vector with n <= 14 (nonincreasing, r_i <= n - i),
   enumerated in lexicographic order -- Catalan-many;
-* every strict partial order on up to 5 labeled points, built by inserting
-  one element at a time with a compatible (up-set, down-set) choice, then
-  reduced to isomorphism classes by minimizing over all relabelings.
+* every strict partial order on up to 5 labeled points, as the relabelings
+  of the naturally labeled ones (i above j only if i < j), which are the
+  transitive sets of pairs i < j; a class is named by its least relabeling.
 
 Forbidden-pattern detection (2+2 and 3+1) is exact induced-subposet
 matching over all 4-subsets; no attempt is made to be clever at this
@@ -76,15 +76,15 @@ class GenericPoset(Frozen):
             depth[i] = 1 + max(above) if above else 0
         return max(depth, default=0)
 
+    def _relabelings(self):
+        """The flattened matrix of each relabeling, one per permutation."""
+        rows = self.rows
+        for perm in permutations(range(self.n)):
+            yield tuple(rows[a][b] for a in perm for b in perm)
+
     def canonical_form(self) -> tuple[bool, ...]:
         """Minimum flattened matrix over all relabelings."""
-        n = self.n
-        best = None
-        for perm in permutations(range(n)):
-            flat = tuple(self.rows[perm[i]][perm[j]] for i in range(n) for j in range(n))
-            if best is None or flat < best:
-                best = flat
-        return best if best is not None else ()
+        return min(self._relabelings())
 
 
 def enumerate_semiorders(n: int, force: bool = False):
@@ -106,9 +106,10 @@ def enumerate_semiorders(n: int, force: bool = False):
         rho[i + 1 :] = [0] * (n - 1 - i)
 
 
-def has_pattern(poset: GenericPoset, pattern: Pattern) -> bool:
+def has_pattern(poset: GenericPoset, pattern: Pattern | str) -> bool:
     """Exact induced occurrence of 2+2 (two disjoint 2-chains) or 3+1
     (a 3-chain plus an element incomparable to all of it)."""
+    pattern = Pattern(pattern)  # the member or its value, "2+2" or "3+1"
     rows = poset.rows
     for quad in combinations(range(poset.n), 4):
         related = [
@@ -137,65 +138,41 @@ def is_semiorder_poset(poset: GenericPoset) -> bool:
     )
 
 
+def _naturally_labeled(n: int):
+    """Yield every order on {0, ..., n-1} in which i above j implies i < j:
+    each transitive set of pairs i < j.  A poset labeled from the top down
+    along a linear extension is one of them, so they reach every class."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        rows = [[False] * n for _ in range(n)]
+        for bit, (i, j) in enumerate(pairs):
+            rows[i][j] = mask >> bit & 1
+        try:
+            poset = GenericPoset(rows)
+        except ValueError:  # not transitive
+            continue
+        yield poset
+
+
 def labeled_posets(n: int, force: bool = False):
-    """Yield every strict partial order on {0, ..., n-1} exactly once.
-
-    Element k is inserted into each poset on {0, ..., k-1} with every
-    compatible pair (D, U): D down-closed, U up-closed, disjoint, and
-    D inside the down-set of every member of U.
-    """
+    """Yield every strict partial order on {0, ..., n-1} exactly once,
+    sorted by rows: the distinct relabelings of the naturally labeled ones."""
     _check_size(n, POSET_BOUND, force)
-
-    posets: list[tuple[int, ...]] = [()]  # down-set bitmasks per element
-    for k in range(n):
-        extended: list[tuple[int, ...]] = []
-        for downs in posets:
-            above = [_above_mask(downs, e) for e in range(k)]
-            down_choices = [
-                d
-                for d in range(1 << k)
-                if all(downs[e] | d == d for e in range(k) if d >> e & 1)
-            ]
-            up_choices = [
-                u
-                for u in range(1 << k)
-                if all(above[e] | u == u for e in range(k) if u >> e & 1)
-            ]
-            for d in down_choices:
-                for u in up_choices:
-                    if d & u:
-                        continue
-                    # transitivity through k: everything in D already below
-                    # everything in U
-                    if any(downs[e] | d != downs[e] for e in range(k) if u >> e & 1):
-                        continue
-                    extended.append(
-                        tuple(
-                            downs[e] | (1 << k) if u >> e & 1 else downs[e]
-                            for e in range(k)
-                        )
-                        + (d,)
-                    )
-        posets = extended
-    for downs in posets:
-        rows = tuple(
-            tuple(bool(downs[i] >> j & 1) for j in range(n)) for i in range(n)
-        )
-        yield GenericPoset(rows)
-
-
-def _above_mask(downs: tuple[int, ...], e: int) -> int:
-    return sum(1 << f for f in range(len(downs)) if downs[f] >> e & 1)
+    labeled = {flat for poset in _naturally_labeled(n) for flat in poset._relabelings()}
+    for flat in sorted(labeled):
+        yield _unflatten(flat, n)
 
 
 def enumerate_posets(n: int, force: bool = False) -> list[GenericPoset]:
-    """All strict partial orders on n points up to isomorphism."""
-    seen: dict[tuple[bool, ...], GenericPoset] = {}
-    for poset in labeled_posets(n, force=force):
-        key = poset.canonical_form()
-        if key not in seen:
-            seen[key] = poset
-    return [seen[key] for key in sorted(seen)]
+    """All strict partial orders on n points up to isomorphism, each as its
+    minimal relabeling, sorted by canonical form."""
+    _check_size(n, POSET_BOUND, force)
+    forms = {poset.canonical_form() for poset in _naturally_labeled(n)}
+    return [_unflatten(form, n) for form in sorted(forms)]
+
+
+def _unflatten(flat: tuple[bool, ...], n: int) -> GenericPoset:
+    return GenericPoset(zip(*[iter(flat)] * n))  # n rows of n entries
 
 
 def oracle_counts(n: int, route: str = "vectors") -> dict[int, int]:

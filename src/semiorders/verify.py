@@ -8,9 +8,6 @@ from __future__ import annotations
 
 from itertools import permutations
 
-SUITES = ("all", "bijection", "recurrences", "labeled", "trunk", "oracle")
-
-
 def _line(ok: bool, text: str) -> str:
     return f"{text} {'OK' if ok else 'MISMATCH'}"
 
@@ -128,21 +125,24 @@ def suite_oracle(max_n: int) -> list[str]:
     return lines
 
 
+_RUNNERS = {
+    "bijection": suite_bijection,
+    "recurrences": suite_recurrences,
+    "labeled": suite_labeled,
+    "trunk": suite_trunk,
+    "oracle": suite_oracle,
+}
+SUITES = ("all", *_RUNNERS)
+
+
 def run_suite(suite: str, max_n: int = 8) -> tuple[list[str], bool]:
     """Run one suite (or ``all``); returns (report lines, all passed)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if max_n < 1:
         raise ValueError(f"need max_n >= 1; got {max_n}")
-    runners = {
-        "bijection": suite_bijection,
-        "recurrences": suite_recurrences,
-        "labeled": suite_labeled,
-        "trunk": suite_trunk,
-        "oracle": suite_oracle,
-    }
-    names = list(runners) if suite == "all" else [suite]
+    names = list(_RUNNERS) if suite == "all" else [suite]
     lines: list[str] = []
     for name in names:
-        lines.extend(runners[name](max_n))
+        lines.extend(_RUNNERS[name](max_n))
     return lines, all(line.endswith(" OK") for line in lines)

@@ -173,6 +173,13 @@ class TestComparability:
         assert m.greater(1, 3) and not m.greater(2, 3)
         assert m.greater(2, 4) and m.greater(2, 5)
 
+    @pytest.mark.parametrize("i, j", [(1, 5), (5, 1), (0, 1), (1, 0), (-1, 2)])
+    def test_greater_rejects_elements_outside_one_to_n(self, i, j):
+        s = Semiorder((2, 1, 0, 0))
+        for relation in (s, comparability(s)):
+            with pytest.raises(ValueError, match=r"^element -?\d+ is outside 1\.\.4$"):
+                relation.greater(i, j)
+
     def test_antichain_all_false(self):
         m = comparability(Semiorder((0,) * 4))
         assert not any(any(row) for row in m.rows)
@@ -579,6 +586,11 @@ class TestMatrixCanonicalization:
         s = Semiorder((7, 6, 4, 2, 2, 1, 1, 1, 0))
         assert induced(s, [1, 3, 6, 7]) == Semiorder((3, 2, 0, 0))
         assert induced(s, range(1, 10)) == s
+
+    @pytest.mark.parametrize("chosen", [[0, 1], [5], [1, 2, 5], [-1]])
+    def test_induced_rejects_elements_outside_one_to_n(self, chosen):
+        with pytest.raises(ValueError, match=r"^element -?\d+ is outside 1\.\.4$"):
+            induced(Semiorder((2, 1, 0, 0)), chosen)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_induced_matches_submatrix(self, seed):

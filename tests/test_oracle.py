@@ -1,8 +1,9 @@
 """Brute-force ground truth: vector enumeration, generic posets, patterns."""
 
 import copy
+import functools
 import pickle
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
@@ -12,6 +13,7 @@ from semiorders.oracle import (
     BoundExceededError,
     GenericPoset,
     Pattern,
+    _naturally_labeled,
     enumerate_posets,
     enumerate_semiorders,
     has_pattern,
@@ -99,6 +101,18 @@ class TestPatterns:
         assert has_pattern(p, Pattern.THREE_PLUS_ONE)
         assert not has_pattern(p, Pattern.TWO_PLUS_TWO)
 
+    def test_pattern_by_its_value(self):
+        two_plus_two = poset_from_pairs(4, [(0, 1), (2, 3)])
+        three_plus_one = poset_from_pairs(4, [(0, 1), (1, 2), (0, 2)])
+        assert has_pattern(two_plus_two, "2+2") and not has_pattern(two_plus_two, "3+1")
+        assert has_pattern(three_plus_one, "3+1") and not has_pattern(three_plus_one, "2+2")
+
+    def test_unknown_pattern(self):
+        p = poset_from_pairs(4, [(0, 1), (1, 2), (0, 2)])
+        for pattern in ("bogus", "2 + 2", None):
+            with pytest.raises(ValueError):
+                has_pattern(p, pattern)
+
     def test_four_chain_has_neither(self):
         pairs = [(a, b) for a in range(4) for b in range(4) if a < b]
         p = poset_from_pairs(4, pairs)
@@ -121,7 +135,71 @@ class TestPatterns:
             poset_from_pairs(3, [(0, 1), (1, 2)])  # not transitive
 
 
+@functools.cache
+def insertion_posets(n):
+    """Rows of every labeled poset on n points, built by inserting element k
+    into each poset on {0, ..., k-1} with every compatible pair (D, U): D
+    down-closed, U up-closed, disjoint, and D inside the down-set of every
+    member of U.  The generator the naturally labeled route replaced."""
+    posets = [()]  # down-set bitmasks per element
+    for k in range(n):
+        extended = []
+        for downs in posets:
+            above = [sum(1 << f for f in range(k) if downs[f] >> e & 1) for e in range(k)]
+            down_choices = [
+                d for d in range(1 << k) if all(downs[e] | d == d for e in range(k) if d >> e & 1)
+            ]
+            up_choices = [
+                u for u in range(1 << k) if all(above[e] | u == u for e in range(k) if u >> e & 1)
+            ]
+            for d in down_choices:
+                for u in up_choices:
+                    if d & u:
+                        continue
+                    # transitivity through k: everything in D already below everything in U
+                    if any(downs[e] | d != downs[e] for e in range(k) if u >> e & 1):
+                        continue
+                    extended.append(
+                        tuple(downs[e] | (1 << k) if u >> e & 1 else downs[e] for e in range(k))
+                        + (d,)
+                    )
+        posets = extended
+    return [tuple(tuple(bool(downs[i] >> j & 1) for j in range(n)) for i in range(n)) for downs in posets]
+
+
+def reference_canonical_form(rows):
+    """Least flattened matrix over all relabelings, one comparison at a time."""
+    n = len(rows)
+    best = None
+    for perm in permutations(range(n)):
+        flat = tuple(rows[perm[i]][perm[j]] for i in range(n) for j in range(n))
+        if best is None or flat < best:
+            best = flat
+    return best
+
+
 class TestGenericEnumeration:
+    @pytest.mark.parametrize("n", range(6))
+    def test_labeled_matches_insertion_reference(self, n):
+        got = [p.rows for p in labeled_posets(n)]
+        assert len(got) == len(set(got)) == len(insertion_posets(n))
+        assert set(got) == set(insertion_posets(n))
+        assert got == sorted(got)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_classes_match_insertion_reference(self, n):
+        forms = sorted({reference_canonical_form(rows) for rows in insertion_posets(n)})
+        classes = enumerate_posets(n)
+        assert [p.canonical_form() for p in classes] == forms
+        for p in classes:
+            assert p.canonical_form() == sum(p.rows, ()) == reference_canonical_form(p.rows)
+
+    def test_classes_come_from_naturally_labeled_orders(self):
+        natural = list(_naturally_labeled(5))
+        assert len(natural) == 357
+        for p in natural:
+            assert not any(p.rows[i][j] for i in range(5) for j in range(i + 1))
+
     def test_labeled_counts(self):
         assert [sum(1 for _ in labeled_posets(n)) for n in range(6)] == [1, 1, 3, 19, 219, 4231]
 
