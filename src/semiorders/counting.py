@@ -6,7 +6,8 @@ Five independent routes compute f_leq(n, h), the number of nonisomorphic
 n-element semiorders of length at most h, and they must all agree:
 
 * ``convolution`` -- f(n) = sum_t f_leq_h(t) * f_leq_{h-1}(n-1-t), the
-  recurrence realized structurally by core.split/core.join;
+  recurrence realized structurally by core.split/core.join; its pass to
+  row h builds row h - 1 first, so an exact count reads both off one pass;
 * ``alternating`` -- a short signed recurrence in n with binomial
   coefficients drawn from the denominator polynomial p_{h+1};
 * ``series``      -- expansion of the rational generating function
@@ -70,14 +71,16 @@ def _comb0(a: int, b: int) -> int:
     return math.comb(a, b) if 0 <= b <= a else 0
 
 
-def _leq_convolution(n: int, h: int) -> int:
-    row = [1] * (n + 1)  # h = 0: only antichains
+def _convolution_rows(n: int, h: int):
+    """Yield the rows f_leq(0..n, j) for j = 0, 1, ..., h; row j is C_m at m <= j + 1."""
+    row = [1] * (n + 1)  # j = 0: only antichains
+    yield row
     for _ in range(h):
         nxt = [1]
         for m in range(1, n + 1):
             nxt.append(sum(nxt[t] * row[m - 1 - t] for t in range(m)))
         row = nxt
-    return row[n]
+        yield row
 
 
 def _leq_alternating(n: int, h: int) -> int:
@@ -292,7 +295,7 @@ def count_leq(n: int, h: int, method: str = "convolution") -> int:
     if method != "closed":  # f_leq(n, h) = C_n once h >= n - 1; closed forms exist only at h = 1, 3
         h = min(h, max(n - 1, 0))
     if method == "convolution":
-        return _leq_convolution(n, h)
+        return deque(_convolution_rows(n, h), maxlen=1)[0][n]
     if method == "alternating":
         return _leq_alternating(n, h)
     if method == "series":  # coefficient n alone, from an O(h) window
@@ -308,7 +311,8 @@ def count_exact(n: int, h: int, method: str = "convolution") -> int:
     """Number of nonisomorphic n-element semiorders of length exactly h.
 
     Follows the series convention at n = 0: the empty semiorder has no
-    longest chain, so count_exact(0, h) = 0 for every h.
+    longest chain, so count_exact(0, h) = 0 for every h.  By convolution it
+    reads rows h - 1 and h of one pass of the recurrence.
     """
     if n < 0 or h < 0:
         raise InvalidParametersError("need n >= 0 and h >= 0")
@@ -318,5 +322,10 @@ def count_exact(n: int, h: int, method: str = "convolution") -> int:
         return 1
     if method == "series":  # one pass over x^(h+1) / (p_{h+1} p_h), as series_exact
         return next(islice(_coefficients(*_fraction(h, n, False)), n, None))
+    if method == "convolution":  # f_leq(n, h) - f_leq(n, h - 1), both C_n once h >= n
+        if h >= n:
+            return 0
+        below, top = deque(_convolution_rows(n, h), maxlen=2)
+        return top[n] - below[n]
     return count_leq(n, h, method) - count_leq(n, h - 1, method)
 

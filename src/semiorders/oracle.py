@@ -52,6 +52,8 @@ class GenericPoset(Frozen):
         rows = tuple(tuple(bool(v) for v in row) for row in rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"need a square matrix; got {n} rows, not all of length {n}")
         for i in range(n):
             if rows[i][i]:
                 raise ValueError("strict order must be irreflexive")

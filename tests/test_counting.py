@@ -295,7 +295,19 @@ class TestSeries:
     @given(st.integers(0, 25), st.integers(0, 40),
            st.sampled_from(("convolution", "alternating", "series", "trig")))
     def test_height_clamp_keeps_the_counts(self, n, h, method):
-        assert count_leq(n, h, method) == counting._leq_convolution(n, h)
+        assert count_leq(n, h, method) == reference_leq(n, h)
+
+
+def reference_leq(n, h):
+    """f_leq(n, h) by the convolution loop as it was written before the rows
+    generator: one whole pass for each h, no clamp on h."""
+    row = [1] * (n + 1)  # h = 0: only antichains
+    for _ in range(h):
+        nxt = [1]
+        for m in range(1, n + 1):
+            nxt.append(sum(nxt[t] * row[m - 1 - t] for t in range(m)))
+        row = nxt
+    return row[n]
 
 
 class TestCountExact:
@@ -322,6 +334,44 @@ class TestCountExact:
                 + count_exact(n - 2, 1)
             )
             assert lhs == rhs
+
+    @settings(deadline=None)  # the reference runs O(h n^2) twice near (100, 30)
+    @given(st.integers(0, 100), st.integers(1, 30))
+    def test_one_pass_matches_two(self, n, h):
+        expected = reference_leq(n, h) - reference_leq(n, h - 1)
+        assert count_exact(n, h) == expected
+        assert count_exact(n, h, "series") == expected
+
+    # h in {0, n - 1, n, n + 2} for n in {0, 1, 2}; h = n - 1 = -1 is rejected
+    @pytest.mark.parametrize("n, h, value", [
+        (0, 0, 0), (0, 2, 0),
+        (1, 0, 1), (1, 1, 0), (1, 3, 0),
+        (2, 0, 1), (2, 1, 1), (2, 2, 0), (2, 4, 0),
+    ])
+    def test_edges(self, n, h, value):
+        for method in ("convolution", "alternating", "series", "trig"):
+            assert count_exact(n, h, method) == value
+
+    def test_bad_arguments(self):
+        with pytest.raises(InvalidParametersError):
+            count_exact(0, -1)
+        with pytest.raises(InvalidParametersError, match="unknown method 'sorcery'"):
+            count_exact(3, 1, "sorcery")
+        with pytest.raises(InvalidParametersError, match="unknown method 'sorcery'"):
+            count_exact(3, 5, "sorcery")
+
+    @pytest.mark.parametrize("n, h", [(2, 1), (6, 2), (6, 5), (40, 7)])
+    def test_convolution_runs_the_recurrence_once(self, monkeypatch, n, h):
+        passes = []
+        rows = counting._convolution_rows
+
+        def counted(*args):
+            passes.append(args)
+            return rows(*args)
+
+        monkeypatch.setattr(counting, "_convolution_rows", counted)
+        assert count_exact(n, h) == count_exact(n, h, "series")
+        assert passes == [(n, h)]
 
 
 def reference_divide(numerator, denominator, order):

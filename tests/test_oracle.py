@@ -134,6 +134,14 @@ class TestPatterns:
         with pytest.raises(ValueError):
             poset_from_pairs(3, [(0, 1), (1, 2)])  # not transitive
 
+    @pytest.mark.parametrize("rows", [
+        ((False, False, False), (False, False, False)),  # 2 rows of 3 entries
+        ((False,), (False, False)),  # ragged
+    ])
+    def test_non_square_matrix(self, rows):
+        with pytest.raises(ValueError, match="need a square matrix"):
+            GenericPoset(rows)
+
 
 @functools.cache
 def insertion_posets(n):
