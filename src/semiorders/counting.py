@@ -51,9 +51,10 @@ class ClosedFormUnavailableError(ValueError):
 
 
 class TrigPrecisionLossError(ArithmeticError):
-    def __init__(self, n: int, h: int, residue: float):
+    def __init__(self, n: int, h: int, residue: float, fraction_digits: int):
         super().__init__(
-            f"trigonometric sum for (n={n}, h={h}) rounds with residue {residue:.3g} > 0.25"
+            f"trigonometric sum for (n={n}, h={h}) is too coarse to round: residue {residue:.3g} "
+            f"(at most 0.25) with {fraction_digits} digits after the point (at least 2)"
         )
         self.n = n
         self.h = h
@@ -65,10 +66,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise InvalidParametersError("need n >= 0")
     return math.comb(2 * n, n) // (n + 1)
-
-
-def _comb0(a: int, b: int) -> int:
-    return math.comb(a, b) if 0 <= b <= a else 0
 
 
 def _convolution_rows(n: int, h: int):
@@ -86,7 +83,8 @@ def _convolution_rows(n: int, h: int):
 def _leq_alternating(n: int, h: int) -> int:
     # The signed recurrence holds once n exceeds floor((h+1)/2); below that
     # every n-element semiorder is shorter than h anyway, so the count is
-    # the full Catalan number and seeds the recurrence.
+    # the full Catalan number and seeds the recurrence.  Past the seeds
+    # k <= (h + 2) // 2 <= m and k <= h + 2 - k: no term is out of range.
     seed_top = (h + 1) // 2
     vals: list[int] = []
     for m in range(n + 1):
@@ -95,7 +93,7 @@ def _leq_alternating(n: int, h: int) -> int:
             continue
         acc = 0
         for k in range(1, (h + 2) // 2 + 1):
-            term = _comb0(h + 2 - k, k) * (vals[m - k] if m >= k else 0)
+            term = math.comb(h + 2 - k, k) * vals[m - k]
             acc += term if k % 2 else -term
         vals.append(acc)
     return vals[n]
@@ -246,17 +244,20 @@ def trig_estimate(n: int, h: int, digits: int | None = None) -> tuple[int, float
 
     Returns (nearest integer, rounding residue).  Working precision scales
     with n because the summands reach 4^(n+1); pass ``digits`` to override
-    (chiefly to exercise the precision-loss guard).  The residue is a
-    sanity check, not a proof: a badly underprecise result can quantize to
-    an integer and slip past it, so the default precision carries a wide
-    margin instead of leaning on the guard.
+    (chiefly to exercise the precision-loss guard).  The residue alone is
+    no proof: with no digit left after the point it reads 0 whatever the
+    error, so the default precision keeps 30 or more of them.
     """
+    return _trig_rounded(n, h, digits)[:2]
+
+
+def _trig_rounded(n: int, h: int, digits: int | None) -> tuple[int, float, int]:
+    """trig_estimate's (nearest, residue) and the digits the precision left after the point."""
     from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
+    digits = 35 + (62 * n) // 100 if digits is None else digits
     if n <= 1:
-        return 1, 0.0
-    if digits is None:
-        digits = 35 + (62 * n) // 100
+        return 1, 0.0, digits - 1
     with localcontext() as ctx:
         ctx.prec = digits
         pi = _dec_pi()
@@ -269,14 +270,14 @@ def trig_estimate(n: int, h: int, digits: int | None = None) -> tuple[int, float
         value = total * Decimal(4) ** (n + 1) / (h + 3)
         nearest = int(value.to_integral_value(rounding=ROUND_HALF_EVEN))
         residue = abs(value - nearest)
-        return nearest, float(residue)
+        return nearest, float(residue), max(digits - 1 - value.adjusted(), 0)
 
 
 def trig_count(n: int, h: int, digits: int | None = None) -> int:
-    """Rounded trigonometric value, guarded: residues above 0.25 raise."""
-    nearest, residue = trig_estimate(n, h, digits)
-    if residue > 0.25:
-        raise TrigPrecisionLossError(n, h, residue)
+    """Rounded trigonometric value; a residue above 0.25, or under 2 digits after the point, raises."""
+    nearest, residue, fraction_digits = _trig_rounded(n, h, digits)
+    if residue > 0.25 or fraction_digits < 2:
+        raise TrigPrecisionLossError(n, h, residue, fraction_digits)
     return nearest
 
 
@@ -288,23 +289,26 @@ def _leq_closed(n: int, h: int) -> int:
     raise ClosedFormUnavailableError(h)
 
 
-def count_leq(n: int, h: int, method: str = "convolution") -> int:
-    """Number of nonisomorphic n-element semiorders of length at most h."""
+def _check(n: int, h: int, method: str) -> None:
     if n < 0 or h < 0:
         raise InvalidParametersError("need n >= 0 and h >= 0")
-    if method != "closed":  # f_leq(n, h) = C_n once h >= n - 1; closed forms exist only at h = 1, 3
-        h = min(h, max(n - 1, 0))
+    if method not in METHODS:
+        raise InvalidParametersError(f"unknown method {method!r}; choose from {METHODS}")
+
+
+def count_leq(n: int, h: int, method: str = "convolution") -> int:
+    """Number of nonisomorphic n-element semiorders of length at most h."""
+    _check(n, h, method)
+    if method == "closed":  # closed forms exist only at h = 1 and h = 3
+        return _leq_closed(n, h)
+    h = min(h, max(n - 1, 0))  # f_leq(n, h) = C_n once h >= n - 1
     if method == "convolution":
         return deque(_convolution_rows(n, h), maxlen=1)[0][n]
     if method == "alternating":
         return _leq_alternating(n, h)
     if method == "series":  # coefficient n alone, from an O(h) window
         return next(islice(_coefficients(*_fraction(h, n, True)), n, None))
-    if method == "trig":
-        return trig_count(n, h)
-    if method == "closed":
-        return _leq_closed(n, h)
-    raise InvalidParametersError(f"unknown method {method!r}; choose from {METHODS}")
+    return trig_count(n, h)  # the one method left
 
 
 def count_exact(n: int, h: int, method: str = "convolution") -> int:
@@ -314,8 +318,7 @@ def count_exact(n: int, h: int, method: str = "convolution") -> int:
     longest chain, so count_exact(0, h) = 0 for every h.  By convolution it
     reads rows h - 1 and h of one pass of the recurrence.
     """
-    if n < 0 or h < 0:
-        raise InvalidParametersError("need n >= 0 and h >= 0")
+    _check(n, h, method)
     if n == 0:
         return 0
     if h == 0:
@@ -328,4 +331,3 @@ def count_exact(n: int, h: int, method: str = "convolution") -> int:
         below, top = deque(_convolution_rows(n, h), maxlen=2)
         return top[n] - below[n]
     return count_leq(n, h, method) - count_leq(n, h - 1, method)
-

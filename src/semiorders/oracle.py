@@ -31,7 +31,7 @@ class BoundExceededError(ValueError):
         self.bound = bound
 
 
-def _check_size(n: int, bound: int, force: bool) -> None:
+def _check_size(n: int, bound: int, force: bool = False) -> None:
     if n < 0:
         raise ValueError(f"need n >= 0; got {n}")
     if n > bound and not force:
@@ -156,19 +156,19 @@ def _naturally_labeled(n: int):
         yield poset
 
 
-def labeled_posets(n: int, force: bool = False):
+def labeled_posets(n: int):
     """Yield every strict partial order on {0, ..., n-1} exactly once,
     sorted by rows: the distinct relabelings of the naturally labeled ones."""
-    _check_size(n, POSET_BOUND, force)
+    _check_size(n, POSET_BOUND)
     labeled = {flat for poset in _naturally_labeled(n) for flat in poset._relabelings()}
     for flat in sorted(labeled):
         yield _unflatten(flat, n)
 
 
-def enumerate_posets(n: int, force: bool = False) -> list[GenericPoset]:
+def enumerate_posets(n: int) -> list[GenericPoset]:
     """All strict partial orders on n points up to isomorphism, each as its
     minimal relabeling, sorted by canonical form."""
-    _check_size(n, POSET_BOUND, force)
+    _check_size(n, POSET_BOUND)
     forms = {poset.canonical_form() for poset in _naturally_labeled(n)}
     return [_unflatten(form, n) for form in sorted(forms)]
 

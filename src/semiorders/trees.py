@@ -6,6 +6,7 @@ visits children left to right, emitting U on entering a child and D on
 leaving it, so a tree with n+1 nodes and height H maps to a word of
 semilength n and height H.  A tree's text is that word, ``(``/``)`` for
 ``U``/``D``, inside the root's pair; only the two walks visit children.
+Every tree the package builds comes from a Dyck word through ``dyck_to_tree``.
 """
 
 from __future__ import annotations
@@ -161,20 +162,10 @@ def dyck_to_tree(path: DyckPath) -> OrderedTree:
 
 
 def all_trees(node_count: int):
-    """Yield every plane tree with the given node count, in a fixed order."""
+    """Yield every plane tree with the given node count: the tree of each word of all_dyck_words."""
     if node_count >= 1:
-        for forest in _all_forests(node_count - 1):
-            yield OrderedTree(forest)
-
-
-def _all_forests(total: int):
-    if total == 0:
-        yield ()
-        return
-    for head_size in range(1, total + 1):
-        for head in all_trees(head_size):
-            for tail in _all_forests(total - head_size):
-                yield (head,) + tail
+        for path in all_dyck_words(node_count - 1):
+            yield dyck_to_tree(path)
 
 
 def all_dyck_words(semilength: int):

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import suppress
 from itertools import accumulate, pairwise
 from operator import sub
 
 from .core import Frozen, LengthTooLargeError, Semiorder
-from .trees import DyckPath
+from .trees import DyckPath, MalformedDyckWordError
 
 
 class NotAPermutationError(ValueError):
@@ -156,39 +157,27 @@ def narayana(m: int, k: int) -> int:
     return math.comb(m, k) * math.comb(m, k - 1) // m
 
 
-def _validate_rtlm(pairs, m: int) -> tuple[tuple[int, int], ...]:
-    seq = tuple((int(a), int(b)) for a, b in pairs)
-    if not seq:
-        raise InvalidRtlmSetError("need at least one pair")
-    positions = [a for a, _ in seq]
-    values = [b for _, b in seq]
-    if positions != sorted(set(positions)) or values != sorted(set(values)):
-        raise InvalidRtlmSetError("positions and values must be strictly increasing")
-    if values[0] != 1 or positions[-1] != m or values[-1] > m or positions[0] < 1:
-        raise InvalidRtlmSetError("need value 1 first and position m last")
-    for i in range(len(seq) - 1):
-        if positions[i] < values[i + 1] - 1:
-            raise InvalidRtlmSetError(
-                f"pair {seq[i + 1]} cannot follow {seq[i]} in any permutation"
-            )
-    return seq
-
-
 def rtlm_to_dyck(pairs, m: int) -> DyckPath:
     """Walk the peak coordinates into a Dyck path of semilength m.
 
     Up a_1, down b_2 - b_1, up a_2 - a_1, ..., closing with m + 1 - b_k
-    down steps; the image has exactly one peak per pair.
+    down steps; the image has exactly one peak per pair.  Right-to-left
+    minima sets of permutations of 1..m and Dyck paths of semilength m are in
+    bijection through the peaks, so the round trip is a complete validity
+    check: valid pairs walk to a Dyck word of semilength m whose peaks read
+    back as the pairs, which is their path.  Others, and no pairs at all,
+    raise InvalidRtlmSetError.
     """
-    seq = _validate_rtlm(pairs, m)
-    steps = []
-    prev_a = 0
-    for i, (a, b) in enumerate(seq):
-        steps.append("U" * (a - prev_a))
-        next_b = seq[i + 1][1] if i + 1 < len(seq) else m + 1
-        steps.append("D" * (next_b - b))
-        prev_a = a
-    return DyckPath("".join(steps))
+    seq = tuple((int(a), int(b)) for a, b in pairs)
+    runs = [(a - prev_a, next_b - b)  # up to peak (a, b), then down to the next peak's value
+            for (a, b), (prev_a, _), (_, next_b) in zip(seq, ((0, 0), *seq), (*seq[1:], (0, m + 1)))]
+    # the walk's length is summed before it is written, so a huge coordinate costs nothing
+    if seq and sum(max(up, 0) + max(down, 0) for up, down in runs) == 2 * m:
+        with suppress(MalformedDyckWordError):
+            path = DyckPath("".join("U" * up + "D" * down for up, down in runs))
+            if dyck_to_rtlm(path) == seq:
+                return path
+    raise InvalidRtlmSetError(f"{seq} are not the right-to-left minima of a permutation of 1..{m}")
 
 
 def dyck_to_rtlm(path: DyckPath) -> tuple[tuple[int, int], ...]:

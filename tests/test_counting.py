@@ -175,6 +175,16 @@ class TestCountLeq:
         with pytest.raises(InvalidParametersError):
             count_leq(3, 3, "sorcery")
 
+    @pytest.mark.parametrize("n, h", [(0, 0), (0, 3), (5, 0), (3, 3)])
+    def test_unknown_method_before_any_shortcut(self, n, h):
+        for count in (count_leq, count_exact):
+            with pytest.raises(InvalidParametersError, match="unknown method 'sorcery'"):
+                count(n, h, "sorcery")
+
+    @pytest.mark.parametrize("h", range(0, 80, 7))
+    def test_alternating_matches_the_series(self, h):
+        assert [count_leq(n, h, "alternating") for n in range(80)] == list(series_leq(h, 79))
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_monotone_and_stabilizing_in_h(self, n):
         values = [count_leq(n, h) for h in range(n + 2)]
@@ -191,6 +201,23 @@ class TestTrig:
             trig_count(30, 10, digits=17)
         assert err.value.n == 30 and err.value.h == 10
         assert err.value.residue > 0.25
+
+    @pytest.mark.parametrize("digits", [15, 16])
+    def test_guard_needs_digits_after_the_point(self, digits):
+        # f_leq(30, 10) has 16 digits: at 16 or fewer the sum rounds to an
+        # integer, the residue reads 0, and the nearest integer is wrong
+        from semiorders.counting import trig_count
+
+        nearest, residue = trig_estimate(30, 10, digits)
+        assert residue == 0 and nearest != count_leq(30, 10)
+        with pytest.raises(TrigPrecisionLossError, match="0 digits after the point") as err:
+            trig_count(30, 10, digits=digits)
+        assert (err.value.n, err.value.h, err.value.residue) == (30, 10, 0)
+
+    def test_two_digits_after_the_point_pass(self):
+        from semiorders.counting import trig_count
+
+        assert trig_count(30, 10, digits=18) == count_leq(30, 10) == 3514791913340867
 
     def test_pi_cache_keeps_one_entry(self):
         from semiorders import counting

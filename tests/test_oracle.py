@@ -215,6 +215,10 @@ class TestGenericEnumeration:
         with pytest.raises(BoundExceededError):
             list(labeled_posets(6))
 
+    def test_class_bound(self):
+        with pytest.raises(BoundExceededError):
+            enumerate_posets(6)
+
     def test_class_counts(self):
         assert [len(enumerate_posets(n)) for n in range(6)] == [1, 1, 2, 5, 16, 63]
 

@@ -97,6 +97,31 @@ class TestTreeCodec:
         assert all(a != b for a, b in zip(shapes, shapes[1:]))
 
 
+def reference_trees(node_count):
+    """The head-tree, tail-forest recursion all_trees ran before it read Dyck words."""
+    if node_count >= 1:
+        for forest in reference_forests(node_count - 1):
+            yield OrderedTree(forest)
+
+
+def reference_forests(total):
+    if total == 0:
+        yield ()
+        return
+    for head_size in range(1, total + 1):
+        for head in reference_trees(head_size):
+            for tail in reference_forests(total - head_size):
+                yield (head,) + tail
+
+
+class TestAllTreesFromDyckWords:
+    @pytest.mark.parametrize("n", range(-1, 12))
+    def test_same_trees_in_the_same_order(self, n):
+        trees = list(all_trees(n))
+        assert trees == list(reference_trees(n))
+        assert len(trees) == (catalan(n - 1) if n >= 1 else 0)
+
+
 def recursive_text(tree):
     return "(" + "".join(recursive_text(child) for child in tree.children) + ")"
 

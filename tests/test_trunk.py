@@ -3,7 +3,7 @@
 import io
 import time
 import warnings
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from semiorders.cli import run
 from semiorders.core import LengthTooLargeError, Semiorder, level_profile
 from semiorders.counting import catalan
 from semiorders.oracle import enumerate_semiorders
-from semiorders.trees import all_dyck_words
+from semiorders.trees import DyckPath, all_dyck_words
 from semiorders.trunk import (
     HypothesisViolatedWarning,
     InvalidRtlmSetError,
@@ -50,6 +50,54 @@ def reference_shapes(s):
             leaves[pos - 1] = below[j] - below[j + 1]
         shapes.add(tuple(leaves))
     return sorted(shapes)
+
+
+def reference_rtlm_to_dyck(pairs, m):
+    """rtlm_to_dyck as it was written before the walk's own round trip
+    checked it: four hand-derived conditions, then the walk."""
+    seq = tuple((int(a), int(b)) for a, b in pairs)
+    if not seq:
+        raise InvalidRtlmSetError("need at least one pair")
+    positions = [a for a, _ in seq]
+    values = [b for _, b in seq]
+    if positions != sorted(set(positions)) or values != sorted(set(values)):
+        raise InvalidRtlmSetError("positions and values must be strictly increasing")
+    if values[0] != 1 or positions[-1] != m or values[-1] > m or positions[0] < 1:
+        raise InvalidRtlmSetError("need value 1 first and position m last")
+    for i in range(len(seq) - 1):
+        if positions[i] < values[i + 1] - 1:
+            raise InvalidRtlmSetError(f"pair {seq[i + 1]} cannot follow {seq[i]} in any permutation")
+    steps = []
+    prev_a = 0
+    for i, (a, b) in enumerate(seq):
+        steps.append("U" * (a - prev_a))
+        next_b = seq[i + 1][1] if i + 1 < len(seq) else m + 1
+        steps.append("D" * (next_b - b))
+        prev_a = a
+    return DyckPath("".join(steps))
+
+
+def rtlm_outcome(to_dyck, pairs, m):
+    """The path's word, or None where the pairs are rejected."""
+    try:
+        return to_dyck(pairs, m).word
+    except InvalidRtlmSetError:
+        return None
+
+
+@st.composite
+def rtlm_inputs(draw):
+    """(pairs, m), m <= 9: a permutation's minima, perhaps with one coordinate
+    nudged, or a list of pairs drawn at random."""
+    m = draw(st.integers(0, 9))
+    coordinate = st.integers(-1, m + 2)
+    if m and draw(st.booleans()):
+        pairs = [list(pair) for pair in rtl_minima(draw(st.permutations(range(1, m + 1))))]
+        if draw(st.booleans()):
+            pair = draw(st.sampled_from(pairs))
+            pair[draw(st.integers(0, 1))] += draw(st.sampled_from((-1, 1)))
+        return [tuple(pair) for pair in pairs], m
+    return draw(st.lists(st.tuples(coordinate, coordinate), max_size=m + 2)), m
 
 
 def length_one(uppers):
@@ -203,6 +251,35 @@ class TestPeakBijection:
             rtlm_to_dyck(((1, 1), (2, 2)), 3)  # last position must be m
         with pytest.raises(InvalidRtlmSetError):
             rtlm_to_dyck((), 3)
+
+
+class TestPeakSetsCheckedByTheirRoundTrip:
+    """rtlm_to_dyck rejects exactly where the hand-derived conditions did,
+    and otherwise walks to the same path."""
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_every_short_pair_list(self, m):
+        pairs = list(product(range(-1, m + 3), repeat=2))
+        lists = (seq for length in range(4) for seq in product(pairs, repeat=length))
+        assert [seq for seq in lists if rtlm_outcome(rtlm_to_dyck, seq, m)
+                != rtlm_outcome(reference_rtlm_to_dyck, seq, m)] == []
+
+    @settings(max_examples=500)
+    @given(rtlm_inputs())
+    def test_drawn_pair_lists(self, case):
+        pairs, m = case
+        assert rtlm_outcome(rtlm_to_dyck, pairs, m) == rtlm_outcome(reference_rtlm_to_dyck, pairs, m)
+
+    def test_error_names_the_pairs_and_m(self):
+        with pytest.raises(InvalidRtlmSetError, match=r"\(\(1, 1\), \(3, 3\)\).*1\.\.3"):
+            rtlm_to_dyck([(1, 1), (3, 3)], 3)
+
+    @pytest.mark.parametrize("pairs, m", [
+        (((10**12, 1),), 5), (((-10**12, 1), (5, 2)), 5), (((1, 1),), 10**12),
+    ])
+    def test_huge_coordinates_are_rejected_unwritten(self, pairs, m):
+        with pytest.raises(InvalidRtlmSetError):
+            rtlm_to_dyck(pairs, m)
 
 
 class TestShapesFromUpperEntries:
