@@ -3,11 +3,14 @@ trunk trees, and the verification suites.
 
 Exit codes: 0 success, 1 usage error, 2 verification mismatch.  Output is
 deterministic; enumeration follows lexicographic vector order.
+
+``_GRAMMAR`` is the one declaration of each subcommand's options.  ``_read``
+takes well-formed argv from it; argparse, built from it too, is imported only
+for help, abbreviations, ``--flag=value`` and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import warnings
@@ -17,53 +20,7 @@ from itertools import islice
 # verify load those modules; each subcommand imports what it runs
 _METHODS = ("convolution", "alternating", "series", "trig", "closed")
 _SUITES = ("all", "bijection", "recurrences", "labeled", "trunk", "oracle")
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits 2; usage errors are 1 here
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="semiorders", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    count = sub.add_parser("count", help="count semiorders with n elements")
-    count.add_argument("--n", type=int, required=True)
-    count.add_argument("--height", type=int, required=True, help="length bound h")
-    count.add_argument("--at-most", action="store_true", help="count length <= h instead of exactly h")
-    count.add_argument("--labeled", action="store_true")
-    count.add_argument("--mode", choices=_METHODS,
-                       help="unlabeled route; 'closed' always reports the at-most count")
-    count.add_argument("--check", action="store_true",
-                       help="cross-check against the series route (alternating for --mode series)")
-
-    enum = sub.add_parser("enumerate", help="list all n-element semiorders")
-    enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--max-height", type=int, default=None,
-                      help="keep only semiorders of length (longest-chain edges) <= this")
-    enum.add_argument("--format", choices=("vector", "tree", "dyck"), default="vector")
-    enum.add_argument("--force", action="store_true", help="lift the n <= 14 cap")
-
-    mapping = sub.add_parser("map", help="convert between vector, tree, and dyck forms")
-    mapping.add_argument("--from", dest="source", choices=("vector", "tree", "dyck"), required=True)
-    mapping.add_argument("--to", dest="target", choices=("vector", "tree", "dyck"), required=True)
-    mapping.add_argument("--input", required=True)
-
-    series = sub.add_parser("series", help="print counting series coefficients")
-    series.add_argument("--height", type=int, required=True)
-    series.add_argument("--terms", type=int, required=True, help="number of coefficients, from n = 0")
-    series.add_argument("--labeled", action="store_true")
-    series.add_argument("--at-most", action="store_true")
-
-    tt = sub.add_parser("trunk-trees", help="distinct trunk trees of a length-<=1 semiorder")
-    tt.add_argument("--rho", required=True, help="comma-separated vector")
-    tt.add_argument("--count-only", action="store_true")
-
-    ver = sub.add_parser("verify", help="run self-check suites")
-    ver.add_argument("--suite", choices=_SUITES, default="all")
-    ver.add_argument("--max-n", type=int, default=8)
-    return parser
+_FORMS = ("vector", "tree", "dyck")
 
 
 def _parse_input(kind: str, text: str):
@@ -173,26 +130,103 @@ def _cmd_verify(args, out) -> int:
     return 0 if passed else 2
 
 
+# subcommand -> (its help, its handler, {flag: argparse keywords}), in --help's order
+_GRAMMAR = {
+    "count": ("count semiorders with n elements", _cmd_count, {
+        "--n": {"type": int, "required": True},
+        "--height": {"type": int, "required": True, "help": "length bound h"},
+        "--at-most": {"action": "store_true", "help": "count length <= h instead of exactly h"},
+        "--labeled": {"action": "store_true"},
+        "--mode": {"choices": _METHODS,
+                   "help": "unlabeled route; 'closed' always reports the at-most count"},
+        "--check": {"action": "store_true",
+                    "help": "cross-check against the series route (alternating for --mode series)"}}),
+    "enumerate": ("list all n-element semiorders", _cmd_enumerate, {
+        "--n": {"type": int, "required": True},
+        "--max-height": {"type": int, "default": None,
+                         "help": "keep only semiorders of length (longest-chain edges) <= this"},
+        "--format": {"choices": _FORMS, "default": "vector"},
+        "--force": {"action": "store_true", "help": "lift the n <= 14 cap"}}),
+    "map": ("convert between vector, tree, and dyck forms", _cmd_map, {
+        "--from": {"dest": "source", "choices": _FORMS, "required": True},
+        "--to": {"dest": "target", "choices": _FORMS, "required": True},
+        "--input": {"required": True}}),
+    "series": ("print counting series coefficients", _cmd_series, {
+        "--height": {"type": int, "required": True},
+        "--terms": {"type": int, "required": True, "help": "number of coefficients, from n = 0"},
+        "--labeled": {"action": "store_true"},
+        "--at-most": {"action": "store_true"}}),
+    "trunk-trees": ("distinct trunk trees of a length-<=1 semiorder", _cmd_trunk, {
+        "--rho": {"required": True, "help": "comma-separated vector"},
+        "--count-only": {"action": "store_true"}}),
+    "verify": ("run self-check suites", _cmd_verify, {
+        "--suite": {"choices": _SUITES, "default": "all"},
+        "--max-n": {"type": int, "default": 8}}),
+}
+
+
+def _read(argv):
+    """argparse's namespace for ``argv``, or None unless argv[0] is a subcommand and every later
+    token is one of its flags, in full and once, each but a store_true followed by a non-option."""
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    options, given, tokens = _GRAMMAR[argv[0]][2], {}, iter(argv[1:])
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if "action" in spec:  # store_true
+            given[flag] = True
+            continue
+        text = next(tokens, "-")
+        # an int is ASCII digits: int() also takes signs, blanks, '_' and other scripts' digits
+        if (text.startswith("-") or text not in spec.get("choices", (text,))
+                or "type" in spec and not (text.isascii() and text.isdigit())):
+            return None
+        try:
+            given[flag] = spec.get("type", str)(text)
+        except ValueError:  # past int()'s digit limit, which argparse reports
+            return None
+    values = {"command": argv[0]}
+    for flag, spec in options.items():
+        if spec.get("required") and flag not in given:
+            return None
+        default = spec.get("default", False if "action" in spec else None)
+        values[spec.get("dest", flag[2:].replace("-", "_"))] = given.get(flag, default)
+    return type(sys.implementation)(**values)  # types.SimpleNamespace, as types.py finds it
+
+
+def _build_parser():
+    """argparse over ``_GRAMMAR``, for the argv that ``_read`` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse default exits 2; usage errors are 1 here
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    # the docstring's last paragraph is about this module's code, not for --help
+    parser = _Parser(prog="semiorders", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, options) in _GRAMMAR.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, spec in options.items():
+            command.add_argument(flag, **spec)
+    return parser
+
+
 def run(argv, out=None) -> int:
     """Parse ``argv`` (no program name) and execute; returns the exit code."""
     out = sys.stdout if out is None else out
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as stop:
-        return int(stop.code or 0)
-    handlers = {
-        "count": _cmd_count,
-        "enumerate": _cmd_enumerate,
-        "map": _cmd_map,
-        "series": _cmd_series,
-        "trunk-trees": _cmd_trunk,
-        "verify": _cmd_verify,
-    }
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as stop:
+            return int(stop.code or 0)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # printed counts pass str()'s 4300-digit guard at n ~ 9000, h = 3
     try:
-        return handlers[args.command](args, out)
+        return _GRAMMAR[args.command][1](args, out)
     except (ValueError, ArithmeticError) as exc:
         print(f"semiorders: error: {exc}", file=sys.stderr)
         return 1

@@ -45,8 +45,9 @@ class InvalidParametersError(ValueError):
 
 
 class ClosedFormUnavailableError(ValueError):
-    def __init__(self, h: int):
-        super().__init__(f"no closed form for length bound h = {h}; only h = 1 and h = 3")
+    def __init__(self, h: int, exact: bool = False):
+        super().__init__(f"no closed form for exact length h = {h}; only h = 0 and h = 1" if exact
+                         else f"no closed form for length bound h = {h}; only h = 1 and h = 3")
         self.h = h
 
 
@@ -330,4 +331,8 @@ def count_exact(n: int, h: int, method: str = "convolution") -> int:
             return 0
         below, top = deque(_convolution_rows(n, h), maxlen=2)
         return top[n] - below[n]
+    if method == "closed":  # f_leq(n, 1) - f_leq(n, 0); no other h - 1, h pair has closed forms
+        if h == 1:
+            return 2 ** (n - 1) - 1
+        raise ClosedFormUnavailableError(h, exact=True)
     return count_leq(n, h, method) - count_leq(n, h - 1, method)

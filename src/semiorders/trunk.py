@@ -165,14 +165,14 @@ def rtlm_to_dyck(pairs, m: int) -> DyckPath:
     minima sets of permutations of 1..m and Dyck paths of semilength m are in
     bijection through the peaks, so the round trip is a complete validity
     check: valid pairs walk to a Dyck word of semilength m whose peaks read
-    back as the pairs, which is their path.  Others, and no pairs at all,
-    raise InvalidRtlmSetError.
+    back as the pairs, which is their path; no pairs walk to the empty path,
+    so they are valid only at m = 0.  Others raise InvalidRtlmSetError.
     """
     seq = tuple((int(a), int(b)) for a, b in pairs)
     runs = [(a - prev_a, next_b - b)  # up to peak (a, b), then down to the next peak's value
             for (a, b), (prev_a, _), (_, next_b) in zip(seq, ((0, 0), *seq), (*seq[1:], (0, m + 1)))]
     # the walk's length is summed before it is written, so a huge coordinate costs nothing
-    if seq and sum(max(up, 0) + max(down, 0) for up, down in runs) == 2 * m:
+    if sum(max(up, 0) + max(down, 0) for up, down in runs) == 2 * m:
         with suppress(MalformedDyckWordError):
             path = DyckPath("".join("U" * up + "D" * down for up, down in runs))
             if dyck_to_rtlm(path) == seq:

@@ -379,6 +379,18 @@ class TestCountExact:
         for method in ("convolution", "alternating", "series", "trig"):
             assert count_exact(n, h, method) == value
 
+    def test_closed_at_heights_zero_and_one(self):
+        for n in range(13):
+            for h in (0, 1):
+                assert count_exact(n, h, "closed") == count_exact(n, h)
+        assert count_exact(10, 1, "closed") == 511
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 7])
+    def test_closed_unavailable_names_the_callers_height(self, h):
+        with pytest.raises(ClosedFormUnavailableError, match=rf"exact length h = {h};") as caught:
+            count_exact(5, h, "closed")
+        assert caught.value.h == h
+
     def test_bad_arguments(self):
         with pytest.raises(InvalidParametersError):
             count_exact(0, -1)

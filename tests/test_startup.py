@@ -72,6 +72,15 @@ def test_no_subcommand_loads_dataclasses(command):
     assert "dataclasses" not in after_cli(SUBCOMMANDS[command])
 
 
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_well_formed_argv_loads_no_argparse(command):
+    assert not {"argparse", "gettext", "locale"} & after_cli(SUBCOMMANDS[command])
+
+
+def test_help_loads_argparse():
+    assert "argparse" in after_cli(["--help"])
+
+
 def test_count_loads_only_counting():
     modules = after_cli(SUBCOMMANDS["count"])
     assert package_modules(modules) == {"semiorders.cli", "semiorders.counting"}

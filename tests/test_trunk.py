@@ -57,6 +57,8 @@ def reference_rtlm_to_dyck(pairs, m):
     checked it: four hand-derived conditions, then the walk."""
     seq = tuple((int(a), int(b)) for a, b in pairs)
     if not seq:
+        if m == 0:  # the empty permutation's minima: the empty path
+            return DyckPath("")
         raise InvalidRtlmSetError("need at least one pair")
     positions = [a for a, _ in seq]
     values = [b for _, b in seq]
@@ -241,6 +243,12 @@ class TestPeakBijection:
         for path in all_dyck_words(m):
             pairs = dyck_to_rtlm(path)
             assert rtlm_to_dyck(pairs, m) == path
+
+    def test_empty_permutation(self):
+        assert rtl_minima(()) == dyck_to_rtlm(DyckPath("")) == ()
+        assert rtlm_to_dyck((), 0) == DyckPath("")
+        with pytest.raises(InvalidRtlmSetError):
+            rtlm_to_dyck((), 3)
 
     def test_invalid_sets_rejected(self):
         with pytest.raises(InvalidRtlmSetError):
