@@ -28,6 +28,8 @@ no bound on n: t(n, h, k) = [x^(n-h-k)] p_{h-1}^(k-1) / p_h^(k+1), p_{-1} = 1.
 
 Every polynomial division runs through one stepper, ``_coefficients``, which
 keeps only the last deg(denominator) coefficients: a single count holds O(h).
+The convolution and signed recurrences likewise take each term as one
+C-level dot product, ``sum(map(mul, ...))``, over the row or window it needs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import chain, islice, repeat
-from operator import mul
+from operator import index, mul
 
 METHODS = ("convolution", "alternating", "series", "trig", "closed")
 
@@ -75,8 +77,8 @@ def _convolution_rows(n: int, h: int):
     yield row
     for _ in range(h):
         nxt = [1]
-        for m in range(1, n + 1):
-            nxt.append(sum(nxt[t] * row[m - 1 - t] for t in range(m)))
+        for _ in range(n):  # f_j(m) = sum_t f_j(m-1-t) f_{j-1}(t), t < m = len(nxt)
+            nxt.append(sum(map(mul, reversed(nxt), row)))
         row = nxt
         yield row
 
@@ -84,20 +86,17 @@ def _convolution_rows(n: int, h: int):
 def _leq_alternating(n: int, h: int) -> int:
     # The signed recurrence holds once n exceeds floor((h+1)/2); below that
     # every n-element semiorder is shorter than h anyway, so the count is
-    # the full Catalan number and seeds the recurrence.  Past the seeds
-    # k <= (h + 2) // 2 <= m and k <= h + 2 - k: no term is out of range.
+    # the full Catalan number and seeds the recurrence.  There are at least
+    # (h + 2) // 2 seeds, as many as the recurrence has terms.
     seed_top = (h + 1) // 2
-    vals: list[int] = []
-    for m in range(n + 1):
-        if m <= seed_top:
-            vals.append(catalan(m))
-            continue
-        acc = 0
-        for k in range(1, (h + 2) // 2 + 1):
-            term = math.comb(h + 2 - k, k) * vals[m - k]
-            acc += term if k % 2 else -term
-        vals.append(acc)
-    return vals[n]
+    if n <= seed_top:
+        return catalan(n)
+    signed = [(-1) ** (k + 1) * math.comb(h + 2 - k, k) for k in range(1, (h + 2) // 2 + 1)]
+    window = deque(maxlen=len(signed))  # f(m-1), f(m-2), ...
+    window.extendleft(map(catalan, range(seed_top + 1)))
+    for _ in range(seed_top, n):
+        window.appendleft(sum(map(mul, signed, window)))
+    return window[0]
 
 
 def p_polynomial(h: int) -> tuple[int, ...]:
@@ -257,6 +256,8 @@ def _trig_rounded(n: int, h: int, digits: int | None) -> tuple[int, float, int]:
     from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
     digits = 35 + (62 * n) // 100 if digits is None else digits
+    if digits < 1:
+        raise InvalidParametersError(f"need digits >= 1; got {digits}")
     if n <= 1:
         return 1, 0.0, digits - 1
     with localcontext() as ctx:
@@ -290,16 +291,27 @@ def _leq_closed(n: int, h: int) -> int:
     raise ClosedFormUnavailableError(h)
 
 
-def _check(n: int, h: int, method: str) -> None:
+def _sizes(n: int, h: int) -> tuple[int, int]:
+    """n and h as ints (bools too), both >= 0; anything else raises before a route runs."""
+    try:
+        n, h = index(n), index(h)
+    except TypeError:
+        raise InvalidParametersError(f"need integers n and h; got n = {n!r}, h = {h!r}") from None
     if n < 0 or h < 0:
         raise InvalidParametersError("need n >= 0 and h >= 0")
+    return n, h
+
+
+def _check(n: int, h: int, method: str) -> tuple[int, int]:
+    n, h = _sizes(n, h)
     if method not in METHODS:
         raise InvalidParametersError(f"unknown method {method!r}; choose from {METHODS}")
+    return n, h
 
 
 def count_leq(n: int, h: int, method: str = "convolution") -> int:
     """Number of nonisomorphic n-element semiorders of length at most h."""
-    _check(n, h, method)
+    n, h = _check(n, h, method)
     if method == "closed":  # closed forms exist only at h = 1 and h = 3
         return _leq_closed(n, h)
     h = min(h, max(n - 1, 0))  # f_leq(n, h) = C_n once h >= n - 1
@@ -319,7 +331,7 @@ def count_exact(n: int, h: int, method: str = "convolution") -> int:
     longest chain, so count_exact(0, h) = 0 for every h.  By convolution it
     reads rows h - 1 and h of one pass of the recurrence.
     """
-    _check(n, h, method)
+    n, h = _check(n, h, method)
     if n == 0:
         return 0
     if h == 0:

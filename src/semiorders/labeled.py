@@ -17,12 +17,11 @@ order onto the classes of the staircase seed (m, m-1, ..., 1, 0, ..., 0).
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, islice
-from operator import mul
+from operator import add, mul
 
 from .core import Frozen, LengthTooLargeError, Semiorder, contraction, expansion
-from .counting import InvalidParametersError, series_exact, series_leq
+from .counting import InvalidParametersError, _sizes, series_exact, series_leq
 
 
 class InvalidPartitionError(ValueError):
@@ -70,15 +69,13 @@ def _entry(series: tuple[int, ...]) -> int:
 
 def count_labeled_leq(n: int, h: int) -> int:
     """Labeled n-element semiorders of length at most h."""
-    if n < 0 or h < 0:
-        raise InvalidParametersError("need n >= 0 and h >= 0")
+    n, h = _sizes(n, h)
     return _entry(series_leq(h, n))
 
 
 def count_labeled_exact(n: int, h: int) -> int:
     """Labeled n-element semiorders of length exactly h (0 at n = 0)."""
-    if n < 0 or h < 0:
-        raise InvalidParametersError("need n >= 0 and h >= 0")
+    n, h = _sizes(n, h)
     return _entry(series_exact(h, n))
 
 
@@ -86,9 +83,10 @@ def ordered_bell(n: int) -> int:
     """Fubini numbers via a(n) = sum_k binom(n, k) a(n-k); independent of series."""
     if n < 0:
         raise InvalidParametersError("need n >= 0")
-    values = [1]
-    for m in range(1, n + 1):
-        values.append(sum(math.comb(m, k) * values[m - k] for k in range(1, m + 1)))
+    values, row = [1], [1]
+    for _ in range(n):
+        row = [1, *map(add, row, row[1:]), 1]  # binom(m, 0..m), m = len(values)
+        values.append(sum(map(mul, row[1:], reversed(values))))
     return values[n]
 
 

@@ -175,6 +175,17 @@ class TestCountLeq:
         with pytest.raises(InvalidParametersError):
             count_leq(3, 3, "sorcery")
 
+    @pytest.mark.parametrize("n, h", [(2.0, 1), (5, 2.0), (4, 1.5), (3, "2"), (None, 0)])
+    def test_non_integer_sizes_before_any_route(self, n, h):
+        for count in (count_leq, count_exact):
+            for method in counting.METHODS:
+                with pytest.raises(InvalidParametersError, match="need integers n and h"):
+                    count(n, h, method)
+
+    def test_bools_count_as_integers(self):
+        assert count_leq(True, True) == count_leq(1, 1) == 1
+        assert count_exact(5, True, "alternating") == count_exact(5, 1) == 15
+
     @pytest.mark.parametrize("n, h", [(0, 0), (0, 3), (5, 0), (3, 3)])
     def test_unknown_method_before_any_shortcut(self, n, h):
         for count in (count_leq, count_exact):
@@ -213,6 +224,16 @@ class TestTrig:
         with pytest.raises(TrigPrecisionLossError, match="0 digits after the point") as err:
             trig_count(30, 10, digits=digits)
         assert (err.value.n, err.value.h, err.value.residue) == (30, 10, 0)
+
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_digits_below_one_are_rejected(self, n):
+        from semiorders.counting import trig_count
+
+        for digits in (0, -3):
+            with pytest.raises(InvalidParametersError, match="need digits >= 1"):
+                trig_estimate(n, 2, digits)
+            with pytest.raises(InvalidParametersError, match="need digits >= 1"):
+                trig_count(n, 2, digits)
 
     def test_two_digits_after_the_point_pass(self):
         from semiorders.counting import trig_count
@@ -335,6 +356,26 @@ def reference_leq(n, h):
             nxt.append(sum(nxt[t] * row[m - 1 - t] for t in range(m)))
         row = nxt
     return row[n]
+
+
+class TestRecurrenceWindows:
+    """The convolution and signed recurrences each take a term as one dot
+    product over a window; the loop in reference_leq and the series route
+    are the references."""
+
+    @pytest.mark.parametrize("h", range(41))
+    def test_alternating_across_its_seeds(self, h):
+        # unclamped h: n runs from the Catalan seeds into the recurrence proper
+        for n in range((h + 1) // 2 + 4):
+            assert counting._leq_alternating(n, h) == reference_leq(n, h), (n, h)
+
+    @settings(deadline=None, max_examples=30)  # convolution near (300, 30) takes ~0.5 s
+    @given(st.integers(0, 300), st.integers(0, 30))
+    def test_recurrences_match_the_series(self, n, h):
+        for count in (count_leq, count_exact):
+            expected = count(n, h, "series")
+            assert count(n, h, "convolution") == expected
+            assert count(n, h, "alternating") == expected
 
 
 class TestCountExact:

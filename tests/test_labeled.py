@@ -1,6 +1,8 @@
 """Labeled counts via the substitution transform, and the ordered-partition
 bijection onto labeled length-<=1 semiorders."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +151,16 @@ class TestLabeledCounts:
         for h in range(max(n - 1, 0), len(values)):
             assert values[h] == full
 
+    @pytest.mark.parametrize("n, h", [(2.0, 1), (5, 2.0), (3, "2"), (None, 0)])
+    def test_non_integer_sizes_are_rejected(self, n, h):
+        for count in (count_labeled_leq, count_labeled_exact):
+            with pytest.raises(InvalidParametersError, match="need integers n and h"):
+                count(n, h)
+
+    def test_bools_count_as_integers(self):
+        assert count_labeled_leq(True, False) == count_labeled_leq(1, 0) == 1
+        assert count_labeled_exact(3, True) == count_labeled_exact(3, 1) == 12
+
     def test_exact_is_difference(self):
         for n in range(9):
             for h in range(1, 6):
@@ -164,6 +176,15 @@ class TestLabeledCounts:
         assert count_labeled_exact(n, h) == reference_transform(series_exact(h, n))[n]
 
 
+def reference_ordered_bells(top):
+    """a(0..top) by a(m) = sum_k binom(m, k) a(m-k), one math.comb per term:
+    the loop the rolled Pascal row replaced."""
+    values = [1]
+    for m in range(1, top + 1):
+        values.append(sum(math.comb(m, k) * values[m - k] for k in range(1, m + 1)))
+    return values
+
+
 class TestOrderedBell:
     def test_small(self):
         assert ordered_bell(0) == 1
@@ -173,6 +194,11 @@ class TestOrderedBell:
     @pytest.mark.parametrize("n", range(7))
     def test_matches_enumeration(self, n):
         assert sum(1 for _ in all_ordered_partitions(n)) == ordered_bell(n)
+
+    def test_matches_the_binomial_loop(self):
+        reference = reference_ordered_bells(300)
+        assert [ordered_bell(n) for n in range(151)] == reference[:151]
+        assert ordered_bell(300) == reference[300]
 
 
 class TestPartitionCodec:
