@@ -54,15 +54,14 @@ def _cmd_count(args, out) -> int:
         counter = labeled.count_labeled_leq if args.at_most else labeled.count_labeled_exact
         print(counter(args.n, args.height), file=out)
         return 0
-    mode = args.mode or "convolution"
-    # the closed forms exist only for the at-most family
-    counter = counting.count_leq if mode == "closed" or args.at_most else counting.count_exact
+    mode = args.mode or counting._DEFAULT
+    route = counting._ROUTES[mode]
+    counter = counting.count_leq if route.at_most or args.at_most else counting.count_exact
     value = counter(args.n, args.height, mode)
     if args.check:
-        route = "alternating" if mode == "series" else "series"
-        reference = counter(args.n, args.height, route)
+        reference = counter(args.n, args.height, route.check)
         if reference != value:
-            print(f"cross-check failed: {value} != {route} {reference}", file=sys.stderr)
+            print(f"cross-check failed: {value} != {route.check} {reference}", file=sys.stderr)
             return 2
     print(value, file=out)
     return 0

@@ -2,8 +2,8 @@
 
 Everything here is arbitrary-precision integer arithmetic; counts grow
 like 3^n already at length 3, so nothing ever goes through machine ints.
-Five independent routes compute f_leq(n, h), the number of nonisomorphic
-n-element semiorders of length at most h, and they must all agree:
+Five independent routes, each one entry of ``_ROUTES``, give f_leq(n, h), the
+number of nonisomorphic n-element semiorders of length at most h; all agree:
 
 * ``convolution`` -- f(n) = sum_t f_leq_h(t) * f_leq_{h-1}(n-1-t), the
   recurrence realized structurally by core.split/core.join; its pass to
@@ -35,11 +35,9 @@ C-level dot product, ``sum(map(mul, ...))``, over the row or window it needs.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from itertools import chain, islice, repeat
 from operator import index, mul
-
-METHODS = ("convolution", "alternating", "series", "trig", "closed")
 
 
 class InvalidParametersError(ValueError):
@@ -66,8 +64,7 @@ class TrigPrecisionLossError(ArithmeticError):
 
 def catalan(n: int) -> int:
     """C_n = binom(2n, n) / (n + 1); counts all n-element semiorders."""
-    if n < 0:
-        raise InvalidParametersError("need n >= 0")
+    [n] = _ints(n=(n, 0))
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -101,8 +98,7 @@ def _leq_alternating(n: int, h: int) -> int:
 
 def p_polynomial(h: int) -> tuple[int, ...]:
     """Ascending coefficients of p_h = sum_j (-1)^j C(h+1-j, j) x^j (p_{h+1} = p_h - x p_{h-1})."""
-    if h < 0:
-        raise InvalidParametersError("need h >= 0")
+    [h] = _ints(h=(h, 0))
     return tuple((-1) ** j * math.comb(h + 1 - j, j) for j in range((h + 3) // 2))
 
 
@@ -134,7 +130,7 @@ def _coefficients(numerator, denominator, shifted=(), bits=0):
 def _fraction(h: int, order: int, at_most: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """p_h / p_{h+1}, entry n f_leq(n, h) (at_most), or x^(h+1) / (p_{h+1} p_h), entry n f(n, h);
     an h past order + 1 is lowered to it, which moves no entry 0..order."""
-    h = min(h, order + 1)
+    h = min(_ints(h=(h, 0))[0], _ints(order=(order, 0))[0] + 1)
     if at_most:
         return p_polynomial(h), p_polynomial(h + 1)
     return (0,) * (h + 1) + (1,), poly_mul(p_polynomial(h + 1), p_polynomial(h))
@@ -146,8 +142,7 @@ def series_divide(numerator, denominator, order: int) -> tuple[int, ...]:
     The denominator must have constant term 1, which keeps the long
     division inside the integers.
     """
-    if order < 0:
-        raise InvalidParametersError("need order >= 0")
+    [order] = _ints(order=(order, 0))
     if not denominator or denominator[0] != 1:
         raise InvalidParametersError("denominator must have constant term 1")
     return tuple(islice(_coefficients(numerator, denominator), order + 1))
@@ -170,8 +165,8 @@ def count_by_good(n: int, h: int, k: int) -> int:
     """t(n, h, k): n-element semiorders of length h with k good elements (plane trees: n+1
     nodes, height h+1, k deepest) is [x^(n-h-k)] p_{h-1}^(k-1) / p_h^(k+1), with p_{-1} = 1
     (Flajolet 1980; module docstring).  Keeps the last row."""
-    if n < 1 or h < 0 or not 1 <= k <= n:
-        raise InvalidParametersError(f"need n >= 1, h >= 0, 1 <= k <= n; got {(n, h, k)}")
+    n, h, k = _ints("need n >= 1, h >= 0, 1 <= k <= n; got ({!r}, {!r}, {!r})",
+                    n=(n, k), h=(h, 0), k=(k, 1))  # n >= k >= 1
     if k > n - h:  # a chain of h edges needs h + 1 elements, k of them good
         return 0
     bits = 2 * n  # every count is below C_n < 4^n
@@ -197,8 +192,7 @@ def _dec_pi() -> Decimal:
         if cached_prec >= prec:
             return +pi  # rounded to the caller's precision
     getcontext().prec += 2
-    three = Decimal(3)
-    lasts, t, s, n, na, d, da = Decimal(0), three, Decimal(3), 1, 0, 0, 24
+    lasts, t, s, n, na, d, da = Decimal(0), Decimal(3), Decimal(3), 1, 0, 0, 24
     while s != lasts:
         lasts = s
         n, na = n + na, na + 8
@@ -212,7 +206,7 @@ def _dec_pi() -> Decimal:
     return result
 
 
-def _dec_taylor(x: Decimal, i: int, term: Decimal) -> Decimal:
+def _dec_taylor(x: Decimal, i: int, term: Decimal | int) -> Decimal:
     """sin or cos of x by its Taylor series: term x^i / i! first, i = 1 or 0."""
     from decimal import Decimal, getcontext
 
@@ -234,9 +228,7 @@ def _dec_sin(x: Decimal) -> Decimal:
 
 
 def _dec_cos(x: Decimal) -> Decimal:
-    from decimal import Decimal
-
-    return _dec_taylor(x, 0, Decimal(1))
+    return _dec_taylor(x, 0, 1)
 
 
 def trig_estimate(n: int, h: int, digits: int | None = None) -> tuple[int, float]:
@@ -255,9 +247,9 @@ def _trig_rounded(n: int, h: int, digits: int | None) -> tuple[int, float, int]:
     """trig_estimate's (nearest, residue) and the digits the precision left after the point."""
     from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
+    n, h = _ints(n=(n, 0), h=(h, 0))
     digits = 35 + (62 * n) // 100 if digits is None else digits
-    if digits < 1:
-        raise InvalidParametersError(f"need digits >= 1; got {digits}")
+    [digits] = _ints("need digits >= 1; got {}", digits=(digits, 1))
     if n <= 1:
         return 1, 0.0, digits - 1
     with localcontext() as ctx:
@@ -283,68 +275,83 @@ def trig_count(n: int, h: int, digits: int | None = None) -> int:
     return nearest
 
 
-def _leq_closed(n: int, h: int) -> int:
-    if h == 1:
-        return 1 if n == 0 else 2 ** (n - 1)
-    if h == 3:
-        return 1 if n == 0 else (3 ** (n - 1) + 1) // 2
-    raise ClosedFormUnavailableError(h)
+def _leq_closed(n: int, h: int) -> int:  # takes the caller's h, so that an error names it
+    if h not in (1, 3):
+        raise ClosedFormUnavailableError(h)
+    return 1 if n == 0 else 2 ** (n - 1) if h == 1 else (3 ** (n - 1) + 1) // 2
 
 
-def _sizes(n: int, h: int) -> tuple[int, int]:
-    """n and h as ints (bools too), both >= 0; anything else raises before a route runs."""
+def _exact_closed(n: int, h: int) -> int:
+    if h == 1:  # f_leq(n, 1) - f_leq(n, 0); no other h - 1, h pair has closed forms
+        return 2 ** (n - 1) - 1
+    raise ClosedFormUnavailableError(h, exact=True)
+
+
+def _exact_convolution(n: int, h: int) -> int:
+    """f_leq(n, h) - f_leq(n, h - 1), rows h - 1 and h of one pass; both are C_n once h >= n."""
+    if h >= n:
+        return 0
+    below, top = deque(_convolution_rows(n, h), maxlen=2)
+    return top[n] - below[n]
+
+
+def _series_count(n: int, h: int, at_most: bool) -> int:  # entry n alone, from an O(h) window
+    return next(islice(_coefficients(*_fraction(h, n, at_most)), n, None))
+
+
+def _cap(n: int, h: int) -> int:  # h lowered to n - 1, past which f_leq(n, h) = C_n
+    return min(h, max(n - 1, 0))
+
+
+# exact is None where it is the difference of two at-most counts; at_most: the CLI reports only that
+_Route = namedtuple("_Route", "leq exact check at_most", defaults=(False,))
+_ROUTES = {  # each entry looks its functions up when called, so a patched one takes effect
+    "convolution": _Route(lambda n, h: deque(_convolution_rows(n, _cap(n, h)), maxlen=1)[0][n],
+                          _exact_convolution, "series"),
+    "alternating": _Route(lambda n, h: _leq_alternating(n, _cap(n, h)), None, "series"),
+    "series": _Route(lambda n, h: _series_count(n, _cap(n, h), True),
+                     lambda n, h: _series_count(n, h, False), "alternating"),
+    "trig": _Route(lambda n, h: trig_count(n, _cap(n, h)), None, "series"),
+    "closed": _Route(_leq_closed, _exact_closed, "series", at_most=True),
+}
+_DEFAULT = "convolution"
+METHODS = tuple(_ROUTES)
+
+
+def _ints(message: str = "", /, **bounds) -> list[int]:
+    """{name: (value, least allowed)}'s values as ints (bools too), before any work.  A non-integer
+    raises naming all (a least may be another of them); one too small, message.format(*ints)."""
+    values, short = [], False
     try:
-        n, h = index(n), index(h)
+        for value, least in bounds.values():
+            values.append(index(value))
+            short |= values[-1] < least
     except TypeError:
-        raise InvalidParametersError(f"need integers n and h; got n = {n!r}, h = {h!r}") from None
-    if n < 0 or h < 0:
-        raise InvalidParametersError("need n >= 0 and h >= 0")
-    return n, h
+        got = ", ".join(f"{name} = {value!r}" for name, (value, _) in bounds.items())
+        raise InvalidParametersError(f"need integers {' and '.join(bounds)}; got {got}") from None
+    if short:
+        need = " and ".join(f"{name} >= {least}" for name, (_, least) in bounds.items())
+        raise InvalidParametersError(message.format(*values) or f"need {need}")
+    return values
 
 
-def _check(n: int, h: int, method: str) -> tuple[int, int]:
-    n, h = _sizes(n, h)
+def _route(n: int, h: int, method: str) -> tuple[int, int, _Route]:
+    n, h = _ints(n=(n, 0), h=(h, 0))
     if method not in METHODS:
         raise InvalidParametersError(f"unknown method {method!r}; choose from {METHODS}")
-    return n, h
+    return n, h, _ROUTES[method]
 
 
-def count_leq(n: int, h: int, method: str = "convolution") -> int:
+def count_leq(n: int, h: int, method: str = _DEFAULT) -> int:
     """Number of nonisomorphic n-element semiorders of length at most h."""
-    n, h = _check(n, h, method)
-    if method == "closed":  # closed forms exist only at h = 1 and h = 3
-        return _leq_closed(n, h)
-    h = min(h, max(n - 1, 0))  # f_leq(n, h) = C_n once h >= n - 1
-    if method == "convolution":
-        return deque(_convolution_rows(n, h), maxlen=1)[0][n]
-    if method == "alternating":
-        return _leq_alternating(n, h)
-    if method == "series":  # coefficient n alone, from an O(h) window
-        return next(islice(_coefficients(*_fraction(h, n, True)), n, None))
-    return trig_count(n, h)  # the one method left
+    n, h, route = _route(n, h, method)
+    return route.leq(n, h)
 
 
-def count_exact(n: int, h: int, method: str = "convolution") -> int:
-    """Number of nonisomorphic n-element semiorders of length exactly h.
-
-    Follows the series convention at n = 0: the empty semiorder has no
-    longest chain, so count_exact(0, h) = 0 for every h.  By convolution it
-    reads rows h - 1 and h of one pass of the recurrence.
-    """
-    n, h = _check(n, h, method)
-    if n == 0:
-        return 0
-    if h == 0:
-        return 1
-    if method == "series":  # one pass over x^(h+1) / (p_{h+1} p_h), as series_exact
-        return next(islice(_coefficients(*_fraction(h, n, False)), n, None))
-    if method == "convolution":  # f_leq(n, h) - f_leq(n, h - 1), both C_n once h >= n
-        if h >= n:
-            return 0
-        below, top = deque(_convolution_rows(n, h), maxlen=2)
-        return top[n] - below[n]
-    if method == "closed":  # f_leq(n, 1) - f_leq(n, 0); no other h - 1, h pair has closed forms
-        if h == 1:
-            return 2 ** (n - 1) - 1
-        raise ClosedFormUnavailableError(h, exact=True)
-    return count_leq(n, h, method) - count_leq(n, h - 1, method)
+def count_exact(n: int, h: int, method: str = _DEFAULT) -> int:
+    """Number of nonisomorphic n-element semiorders of length exactly h; 0 at n = 0, by the
+    series convention that the empty semiorder has no longest chain."""
+    n, h, route = _route(n, h, method)
+    if n == 0 or h == 0:  # at h = 0, the antichain alone
+        return 1 if n else 0
+    return route.exact(n, h) if route.exact else route.leq(n, h) - route.leq(n, h - 1)

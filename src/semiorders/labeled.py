@@ -21,7 +21,7 @@ from itertools import combinations, islice
 from operator import add, mul
 
 from .core import Frozen, LengthTooLargeError, Semiorder, contraction, expansion
-from .counting import InvalidParametersError, _sizes, series_exact, series_leq
+from .counting import InvalidParametersError, _ints, series_exact, series_leq
 
 
 class InvalidPartitionError(ValueError):
@@ -69,20 +69,19 @@ def _entry(series: tuple[int, ...]) -> int:
 
 def count_labeled_leq(n: int, h: int) -> int:
     """Labeled n-element semiorders of length at most h."""
-    n, h = _sizes(n, h)
+    n, h = _ints(n=(n, 0), h=(h, 0))
     return _entry(series_leq(h, n))
 
 
 def count_labeled_exact(n: int, h: int) -> int:
     """Labeled n-element semiorders of length exactly h (0 at n = 0)."""
-    n, h = _sizes(n, h)
+    n, h = _ints(n=(n, 0), h=(h, 0))
     return _entry(series_exact(h, n))
 
 
 def ordered_bell(n: int) -> int:
     """Fubini numbers via a(n) = sum_k binom(n, k) a(n-k); independent of series."""
-    if n < 0:
-        raise InvalidParametersError("need n >= 0")
+    [n] = _ints(n=(n, 0))
     values, row = [1], [1]
     for _ in range(n):
         row = [1, *map(add, row, row[1:]), 1]  # binom(m, 0..m), m = len(values)

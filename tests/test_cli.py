@@ -50,6 +50,18 @@ class TestCount:
         assert (code, text) == (2, "")
         assert "alternating" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", counting.METHODS)
+    def test_no_route_checks_itself(self, monkeypatch, capsys, mode):
+        argv = ["count", "--n", "12", "--height", "3" if mode == "closed" else "4", "--mode", mode]
+        assert invoke(argv + ["--check"]) == invoke(argv)
+        assert invoke(argv)[0] == 0
+        reference = counting._ROUTES[mode].check
+        broken = counting._ROUTES[reference]._replace(leq=lambda n, h: -1, exact=lambda n, h: -1)
+        monkeypatch.setitem(counting._ROUTES, reference, broken)
+        capsys.readouterr()
+        assert invoke(argv + ["--check"]) == (2, "")
+        assert capsys.readouterr().err == f"cross-check failed: {invoke(argv)[1].strip()} != {reference} -1\n"
+
     def test_labeled_rejects_mode(self, capsys):
         code, text = invoke(["count", "--n", "4", "--height", "1", "--labeled", "--mode", "trig"])
         assert (code, text) == (1, "")

@@ -3,6 +3,7 @@ and closed forms."""
 
 import functools
 import math
+import re
 import time
 from collections import Counter
 
@@ -25,8 +26,10 @@ from semiorders.counting import (
     series_divide,
     series_exact,
     series_leq,
+    trig_count,
     trig_estimate,
 )
+from semiorders.labeled import ordered_bell
 from semiorders.oracle import enumerate_semiorders
 from semiorders.trees import all_trees
 
@@ -202,6 +205,81 @@ class TestCountLeq:
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[n - 1] == catalan(n)
         assert values[n] == catalan(n)
+
+
+class TestRouteTable:
+    """One table entry per route; the closed route alone takes the caller's h unlowered."""
+
+    def test_methods_are_the_table(self):
+        assert counting.METHODS == tuple(counting._ROUTES)
+        assert counting._DEFAULT in counting.METHODS
+
+    @pytest.mark.parametrize("method", counting.METHODS)
+    def test_no_route_checks_itself(self, method):
+        assert counting._ROUTES[method].check in set(counting.METHODS) - {method}
+
+    def test_closed_names_the_callers_bound(self):
+        with pytest.raises(ClosedFormUnavailableError, match=r"length bound h = 5;") as caught:
+            count_leq(3, 5, "closed")
+        assert caught.value.h == 5
+        for method in set(counting.METHODS) - {"closed"}:
+            assert count_leq(3, 5, method) == 5
+        with pytest.raises(ClosedFormUnavailableError, match=r"length bound h = 0;") as caught:
+            count_leq(0, 0, "closed")
+        assert caught.value.h == 0
+
+    def test_closed_exact_edges(self):
+        with pytest.raises(ClosedFormUnavailableError, match=r"exact length h = 5;") as caught:
+            count_exact(3, 5, "closed")
+        assert caught.value.h == 5
+        assert count_exact(0, 5, "closed") == 0
+        assert count_exact(5, 0, "closed") == 1
+
+
+# each function with valid integer arguments; every one of them is gated
+INTEGER_ARGUMENTS = [
+    (catalan, (5,)), (p_polynomial, (3,)), (count_by_good, (5, 1, 2)),
+    (series_leq, (2, 6)), (series_exact, (2, 6)),
+    (trig_estimate, (5, 2, 40)), (trig_count, (5, 2, 40)), (ordered_bell, (4,)),
+]
+
+
+@pytest.mark.parametrize("function, args", INTEGER_ARGUMENTS,
+                         ids=[function.__name__ for function, _ in INTEGER_ARGUMENTS])
+@pytest.mark.parametrize("bad", [2.0, "3", None])
+def test_non_integer_arguments_raise_a_typed_error(function, args, bad):
+    for i in range(len(args)):
+        if bad is None and function in (trig_estimate, trig_count) and i == 2:
+            continue  # digits=None is the default precision
+        with pytest.raises(InvalidParametersError, match=r"^need integers .*= " + re.escape(repr(bad))):
+            function(*args[:i], bad, *args[i + 1:])
+
+
+def test_bools_are_integers():
+    assert catalan(True) == ordered_bell(True) == count_by_good(True, False, True) == 1
+    assert p_polynomial(True) == (1, -1)
+    assert series_leq(True, True) == (1, 1)
+    assert series_exact(False, True) == (0, 1)
+    assert trig_count(True, True) == trig_estimate(True, False)[0] == 1
+
+
+@pytest.mark.parametrize("function, args, message", [
+    (catalan, (-1,), "need n >= 0"),
+    (p_polynomial, (-1,), "need h >= 0"),
+    (ordered_bell, (-1,), "need n >= 0"),
+    (series_leq, (-1, 3), "need h >= 0"),
+    (series_exact, (2, -1), "need order >= 0"),
+    (series_divide, ((1,), (1, 1), -1), "need order >= 0"),
+    (count_by_good, (3, 0, 4), "need n >= 1, h >= 0, 1 <= k <= n; got (3, 0, 4)"),
+    (count_by_good, (0, 0, 0), "need n >= 1, h >= 0, 1 <= k <= n; got (0, 0, 0)"),
+    (trig_estimate, (5, 2, 0), "need digits >= 1; got 0"),
+    (count_leq, (-1, 0), "need n >= 0 and h >= 0"),
+    (trig_count, (-1, 2), "need n >= 0 and h >= 0"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_range_messages(function, args, message):
+    with pytest.raises(InvalidParametersError) as caught:
+        function(*args)
+    assert str(caught.value) == message
 
 
 class TestTrig:
