@@ -1,9 +1,11 @@
 """Exact enumeration and bijection toolkit for semiorders of bounded length.
 
 Public names and their submodules import on first use (PEP 562), so
-``import semiorders`` loads no submodule."""
+``import semiorders`` loads no submodule.  The integer-argument gate ``_ints``
+lives here because this is the one module that every caller already loads."""
 
 from importlib import import_module
+from operator import index
 
 _NAMES = {  # submodule: the public names it defines
     "bijection": ("LevelLinkage", "arrangement_to_semiorder", "construction_stages",
@@ -35,3 +37,25 @@ def __getattr__(name: str):
     value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
     globals()[name] = value
     return value
+
+
+class InvalidParametersError(ValueError):
+    """Arguments outside the documented domain of a public routine."""
+
+
+def _ints(message: str = "", error: type = InvalidParametersError, /, **bounds) -> list[int]:
+    """{name: (value, least allowed)}'s values as ints (bools too), before any work.  A non-integer
+    raises error naming all (a least may be another of them); one too small raises error with
+    message.format(*the values as given), or "need name >= least and ..." if message is empty."""
+    values, short = [], False
+    try:
+        for value, least in bounds.values():
+            values.append(value := index(value))
+            short |= value < least
+    except TypeError:
+        got = ", ".join(f"{name} = {value!r}" for name, (value, _) in bounds.items())
+        raise error(f"need integers {' and '.join(bounds)}; got {got}") from None
+    if short:
+        need = " and ".join(f"{name} >= {least}" for name, (_, least) in bounds.items())
+        raise error(message.format(*(value for value, _ in bounds.values())) or f"need {need}")
+    return values

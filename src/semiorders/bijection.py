@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from itertools import accumulate, repeat
 
+from . import _ints
 from .core import Frozen, LengthTooLargeError, Semiorder, level_profile
 from .trees import DyckPath, OrderedTree, dyck_to_tree, tree_to_dyck
 
@@ -155,8 +156,7 @@ def arrangement_to_semiorder(n: int, upper) -> Semiorder:
     on the upper level, the rest below; a_i > a_j iff i < j with a_i upper
     and a_j lower.
     """
-    if n < 1:
-        raise IndexOutOfRangeError("need n >= 1")
+    _ints("", IndexOutOfRangeError, n=(n, 1))  # not rebound: the error below prints n as given
     chosen = {int(u) for u in upper}
     if any(u < 2 or u > n for u in chosen):
         raise IndexOutOfRangeError(f"upper indices must lie in 2..{n}")

@@ -37,11 +37,9 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 from itertools import chain, islice, repeat
-from operator import index, mul
+from operator import mul
 
-
-class InvalidParametersError(ValueError):
-    """Arguments outside the documented domain of a counting routine."""
+from . import InvalidParametersError, _ints
 
 
 class ClosedFormUnavailableError(ValueError):
@@ -165,7 +163,7 @@ def count_by_good(n: int, h: int, k: int) -> int:
     """t(n, h, k): n-element semiorders of length h with k good elements (plane trees: n+1
     nodes, height h+1, k deepest) is [x^(n-h-k)] p_{h-1}^(k-1) / p_h^(k+1), with p_{-1} = 1
     (Flajolet 1980; module docstring).  Keeps the last row."""
-    n, h, k = _ints("need n >= 1, h >= 0, 1 <= k <= n; got ({!r}, {!r}, {!r})",
+    n, h, k = _ints("need n >= 1, h >= 0, 1 <= k <= n; got ({:d}, {:d}, {:d})",
                     n=(n, k), h=(h, 0), k=(k, 1))  # n >= k >= 1
     if k > n - h:  # a chain of h edges needs h + 1 elements, k of them good
         return 0
@@ -249,7 +247,7 @@ def _trig_rounded(n: int, h: int, digits: int | None) -> tuple[int, float, int]:
 
     n, h = _ints(n=(n, 0), h=(h, 0))
     digits = 35 + (62 * n) // 100 if digits is None else digits
-    [digits] = _ints("need digits >= 1; got {}", digits=(digits, 1))
+    [digits] = _ints("need digits >= 1; got {:d}", digits=(digits, 1))
     if n <= 1:
         return 1, 0.0, digits - 1
     with localcontext() as ctx:
@@ -316,23 +314,6 @@ _ROUTES = {  # each entry looks its functions up when called, so a patched one t
 }
 _DEFAULT = "convolution"
 METHODS = tuple(_ROUTES)
-
-
-def _ints(message: str = "", /, **bounds) -> list[int]:
-    """{name: (value, least allowed)}'s values as ints (bools too), before any work.  A non-integer
-    raises naming all (a least may be another of them); one too small, message.format(*ints)."""
-    values, short = [], False
-    try:
-        for value, least in bounds.values():
-            values.append(index(value))
-            short |= values[-1] < least
-    except TypeError:
-        got = ", ".join(f"{name} = {value!r}" for name, (value, _) in bounds.items())
-        raise InvalidParametersError(f"need integers {' and '.join(bounds)}; got {got}") from None
-    if short:
-        need = " and ".join(f"{name} >= {least}" for name, (_, least) in bounds.items())
-        raise InvalidParametersError(message.format(*values) or f"need {need}")
-    return values
 
 
 def _route(n: int, h: int, method: str) -> tuple[int, int, _Route]:

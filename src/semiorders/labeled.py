@@ -20,8 +20,9 @@ from __future__ import annotations
 from itertools import combinations, islice
 from operator import add, mul
 
+from . import InvalidParametersError, _ints
 from .core import Frozen, LengthTooLargeError, Semiorder, contraction, expansion
-from .counting import InvalidParametersError, _ints, series_exact, series_leq
+from .counting import series_exact, series_leq
 
 
 class InvalidPartitionError(ValueError):
@@ -168,8 +169,7 @@ class LabeledSemiorder(Frozen):
 def staircase_seed(k: int) -> Semiorder:
     """The unique k-element length-<=1 seed: (m, m-1, ..., 1, 0, ..., 0)
     with m = floor(k/2) and ceil(k/2) zeros."""
-    if k < 1:
-        raise InvalidParametersError("need k >= 1")
+    [k] = _ints(k=(k, 1))
     m = k // 2
     return Semiorder(tuple(range(m, 0, -1)) + (0,) * (k - m))
 
@@ -190,8 +190,7 @@ def labeled_semiorder_to_partition(labeled: LabeledSemiorder) -> OrderedSetParti
 
 def all_ordered_partitions(n: int):
     """Yield every ordered set partition of {1, ..., n} (Fubini-many)."""
-    if n < 0:
-        raise InvalidParametersError("need n >= 0")
+    [n] = _ints(n=(n, 0))
 
     def rec(remaining: tuple[int, ...]):
         if not remaining:

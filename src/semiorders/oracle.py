@@ -15,9 +15,11 @@ scale.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from itertools import combinations, permutations
 
+from . import _ints
 from .core import Frozen, Semiorder
 
 VECTOR_BOUND = 14
@@ -31,11 +33,11 @@ class BoundExceededError(ValueError):
         self.bound = bound
 
 
-def _check_size(n: int, bound: int, force: bool = False) -> None:
-    if n < 0:
-        raise ValueError(f"need n >= 0; got {n}")
+def _check_size(n: int, bound: int, force: bool = False) -> int:
+    [n] = _ints("need n >= 0; got {}", n=(n, 0))
     if n > bound and not force:
         raise BoundExceededError(n, bound)
+    return n
 
 
 class Pattern(Enum):
@@ -91,7 +93,7 @@ class GenericPoset(Frozen):
 
 def enumerate_semiorders(n: int, force: bool = False):
     """Yield every n-element semiorder vector in lexicographic order."""
-    _check_size(n, VECTOR_BOUND, force)
+    n = _check_size(n, VECTOR_BOUND, force)
 
     # successor (Nijenhuis and Wilf, 1978): raise the rightmost r_i below
     # min(r_{i-1}, n - i) and zero the rest, so every vector is valid unchecked
@@ -159,7 +161,7 @@ def _naturally_labeled(n: int):
 def labeled_posets(n: int):
     """Yield every strict partial order on {0, ..., n-1} exactly once,
     sorted by rows: the distinct relabelings of the naturally labeled ones."""
-    _check_size(n, POSET_BOUND)
+    n = _check_size(n, POSET_BOUND)
     labeled = {flat for poset in _naturally_labeled(n) for flat in poset._relabelings()}
     for flat in sorted(labeled):
         yield _unflatten(flat, n)
@@ -168,7 +170,7 @@ def labeled_posets(n: int):
 def enumerate_posets(n: int) -> list[GenericPoset]:
     """All strict partial orders on n points up to isomorphism, each as its
     minimal relabeling, sorted by canonical form."""
-    _check_size(n, POSET_BOUND)
+    n = _check_size(n, POSET_BOUND)
     forms = {poset.canonical_form() for poset in _naturally_labeled(n)}
     return [_unflatten(form, n) for form in sorted(forms)]
 
@@ -184,18 +186,10 @@ def oracle_counts(n: int, route: str = "vectors") -> dict[int, int]:
     the generic isomorphism classes by pattern-freeness (n <= 5).  The two
     must agree wherever both run.
     """
-    histogram: dict[int, int] = {}
     if route == "vectors":
-        for s in enumerate_semiorders(n):
-            if s.n == 0:
-                continue
-            length = s.length
-            histogram[length] = histogram.get(length, 0) + 1
+        lengths = (s.length for s in enumerate_semiorders(n) if s.n)
     elif route == "posets":
-        for poset in enumerate_posets(n):
-            if poset.n and is_semiorder_poset(poset):
-                length = poset.length()
-                histogram[length] = histogram.get(length, 0) + 1
+        lengths = (p.length() for p in enumerate_posets(n) if p.n and is_semiorder_poset(p))
     else:
         raise ValueError(f"unknown route {route!r}; choose 'vectors' or 'posets'")
-    return dict(sorted(histogram.items()))
+    return dict(sorted(Counter(lengths).items()))

@@ -26,6 +26,7 @@ from contextlib import suppress
 from itertools import accumulate, pairwise
 from operator import sub
 
+from . import _ints
 from .core import Frozen, LengthTooLargeError, Semiorder
 from .trees import DyckPath, MalformedDyckWordError
 
@@ -152,8 +153,7 @@ def count_trunk_trees(s: Semiorder) -> int:
 def narayana(m: int, k: int) -> int:
     """N(m, k) = binom(m, k) binom(m, k-1) / m: Dyck paths of semilength m
     with k peaks."""
-    if m < 1 or not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= m; got {(m, k)}")
+    m, k = _ints("need 1 <= k <= m; got ({!r}, {!r})", m=(m, k), k=(k, 1))  # m >= k >= 1
     return math.comb(m, k) * math.comb(m, k - 1) // m
 
 
@@ -168,6 +168,7 @@ def rtlm_to_dyck(pairs, m: int) -> DyckPath:
     back as the pairs, which is their path; no pairs walk to the empty path,
     so they are valid only at m = 0.  Others raise InvalidRtlmSetError.
     """
+    _ints("", InvalidRtlmSetError, m=(m, -math.inf))  # not rebound; a negative m fails the walk below
     seq = tuple((int(a), int(b)) for a, b in pairs)
     runs = [(a - prev_a, next_b - b)  # up to peak (a, b), then down to the next peak's value
             for (a, b), (prev_a, _), (_, next_b) in zip(seq, ((0, 0), *seq), (*seq[1:], (0, m + 1)))]

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from . import _ints
+
+
 def _line(ok: bool, text: str) -> str:
     return f"{text} {'OK' if ok else 'MISMATCH'}"
 
@@ -79,11 +82,11 @@ def suite_labeled(max_n: int) -> list[str]:
 
 
 def suite_trunk(max_n: int) -> list[str]:
-    from . import core, counting, trees, trunk
+    from . import counting, labeled, trees, trunk
 
     lines = []
     for m in range(1, min(max_n, 6) + 1):
-        staircase = core.Semiorder(tuple(range(m, 0, -1)) + (0,) * m)
+        staircase = labeled.staircase_seed(2 * m)
         shapes = list(trunk._shapes(staircase))
         ok = trunk.count_trunk_trees(staircase) == len(shapes) == counting.catalan(m)
         lines.append(_line(ok, f"trunk catalan m={m}"))
@@ -139,8 +142,7 @@ def run_suite(suite: str, max_n: int = 8) -> tuple[list[str], bool]:
     """Run one suite (or ``all``); returns (report lines, all passed)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if max_n < 1:
-        raise ValueError(f"need max_n >= 1; got {max_n}")
+    _ints("need max_n >= 1; got {}", max_n=(max_n, 1))  # not rebound: reports print max_n as given
     names = list(_RUNNERS) if suite == "all" else [suite]
     lines: list[str] = []
     for name in names:

@@ -15,13 +15,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from semiorders import cli
+from semiorders import cli, counting
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = json.loads((ROOT / "tests" / "data" / "cli_argparse.json").read_text())
@@ -61,6 +62,20 @@ def test_goldens_cover_every_help_and_take_argparse():
     argvs = [case["argv"] for case in GOLDENS["cases"]]
     assert [["--help"]] + [[name, "--help"] for name in cli._GRAMMAR] == argvs[:7]
     assert all(cli._read(argv) is None for argv in argvs)
+
+
+def test_count_help_states_the_route_table():
+    # the help restates counting._ROUTES in prose: the --check reference most routes share, each
+    # route with another one, and the routes that report only the at-most count
+    routes = counting._ROUTES
+    common = Counter(route.check for route in routes.values()).most_common(1)[0][0]
+    others = "".join(f" ({route.check} for --mode {name})" for name, route in routes.items()
+                     if route.check != common)
+    at_most = ", ".join(repr(name) for name, route in routes.items() if route.at_most)
+    options = cli._GRAMMAR["count"][2]
+    assert options["--check"]["help"] == f"cross-check against the {common} route{others}"
+    assert options["--mode"]["help"] == (
+        f"unlabeled route; {at_most} always reports the at-most count")
 
 
 def perfbench_cli_argv():

@@ -2,6 +2,7 @@
 and closed forms."""
 
 import functools
+import inspect
 import math
 import re
 import time
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semiorders
 from semiorders import counting
-from semiorders.core import level_profile
+from semiorders.bijection import IndexOutOfRangeError, arrangement_to_semiorder
+from semiorders.core import Semiorder, level_profile
 from semiorders.counting import (
     ClosedFormUnavailableError,
     InvalidParametersError,
@@ -29,9 +32,18 @@ from semiorders.counting import (
     trig_count,
     trig_estimate,
 )
-from semiorders.labeled import ordered_bell
-from semiorders.oracle import enumerate_semiorders
-from semiorders.trees import all_trees
+from semiorders.labeled import (
+    OrderedSetPartition,
+    all_ordered_partitions,
+    count_labeled_exact,
+    count_labeled_leq,
+    ordered_bell,
+    staircase_seed,
+)
+from semiorders.oracle import enumerate_posets, enumerate_semiorders, labeled_posets, oracle_counts
+from semiorders.trees import DyckPath, all_trees
+from semiorders.trunk import InvalidRtlmSetError, narayana, rtlm_to_dyck
+from semiorders.verify import run_suite
 
 
 class TestCountByGood:
@@ -236,23 +248,51 @@ class TestRouteTable:
         assert count_exact(5, 0, "closed") == 1
 
 
-# each function with valid integer arguments; every one of them is gated
+# each function with valid arguments; every one of its int parameters is gated, package-wide
 INTEGER_ARGUMENTS = [
     (catalan, (5,)), (p_polynomial, (3,)), (count_by_good, (5, 1, 2)),
     (series_leq, (2, 6)), (series_exact, (2, 6)),
     (trig_estimate, (5, 2, 40)), (trig_count, (5, 2, 40)), (ordered_bell, (4,)),
+    (count_leq, (5, 2)), (count_exact, (5, 2)), (count_labeled_leq, (5, 2)),
+    (count_labeled_exact, (5, 2)), (narayana, (4, 2)), (rtlm_to_dyck, (((1, 1),), 1)),
+    (arrangement_to_semiorder, (4, (2,))), (staircase_seed, (4,)), (all_ordered_partitions, (3,)),
+    (enumerate_semiorders, (4,)), (enumerate_posets, (3,)), (labeled_posets, (3,)),
+    (oracle_counts, (4,)), (run_suite, ("trunk", 2)),
 ]
+# the functions that raise their own ValueError subclass, not InvalidParametersError
+OWN_ERROR = {arrangement_to_semiorder: IndexOutOfRangeError, rtlm_to_dyck: InvalidRtlmSetError}
+
+
+def int_parameters(function) -> list[int]:
+    """Positions of the parameters annotated int (or int | None)."""
+    parameters = inspect.signature(function).parameters.values()
+    return [i for i, p in enumerate(parameters) if p.annotation in ("int", "int | None")]
+
+
+def call(function, *args):
+    """function(*args), a generator advanced once, so that its checks have run."""
+    result = function(*args)
+    return next(result) if inspect.isgenerator(result) else result
+
+
+def test_every_public_integer_parameter_has_a_row():
+    public = {getattr(semiorders, name) for name in semiorders.__all__}
+    with_ints = {f for f in public if inspect.isfunction(f) and int_parameters(f)}
+    assert len(with_ints) >= 16  # as many as when this test was written: the annotations are read
+    assert with_ints <= {function for function, _ in INTEGER_ARGUMENTS}
 
 
 @pytest.mark.parametrize("function, args", INTEGER_ARGUMENTS,
                          ids=[function.__name__ for function, _ in INTEGER_ARGUMENTS])
 @pytest.mark.parametrize("bad", [2.0, "3", None])
 def test_non_integer_arguments_raise_a_typed_error(function, args, bad):
-    for i in range(len(args)):
+    assert call(function, *args) is not None
+    for i in int_parameters(function):
         if bad is None and function in (trig_estimate, trig_count) and i == 2:
             continue  # digits=None is the default precision
-        with pytest.raises(InvalidParametersError, match=r"^need integers .*= " + re.escape(repr(bad))):
-            function(*args[:i], bad, *args[i + 1:])
+        with pytest.raises(OWN_ERROR.get(function, InvalidParametersError),
+                           match=r"^need integers .*= " + re.escape(repr(bad))):
+            call(function, *args[:i], bad, *args[i + 1:])
 
 
 def test_bools_are_integers():
@@ -261,6 +301,16 @@ def test_bools_are_integers():
     assert series_leq(True, True) == (1, 1)
     assert series_exact(False, True) == (0, 1)
     assert trig_count(True, True) == trig_estimate(True, False)[0] == 1
+    assert count_labeled_leq(True, False) == count_labeled_exact(True, False) == 1
+    assert narayana(True, True) == 1
+    assert rtlm_to_dyck(((1, 1),), True) == DyckPath("UD")
+    assert rtlm_to_dyck((), False) == DyckPath("")
+    assert arrangement_to_semiorder(True, ()) == staircase_seed(True) == Semiorder((0,))
+    assert list(all_ordered_partitions(True)) == [OrderedSetPartition(((1,),))]
+    assert list(enumerate_semiorders(True)) == [Semiorder((0,))]
+    assert len(enumerate_posets(True)) == len(list(labeled_posets(True))) == 1
+    assert oracle_counts(True) == oracle_counts(True, "posets") == {0: 1}
+    assert run_suite("trunk", True)[1]
 
 
 @pytest.mark.parametrize("function, args, message", [
@@ -275,10 +325,25 @@ def test_bools_are_integers():
     (trig_estimate, (5, 2, 0), "need digits >= 1; got 0"),
     (count_leq, (-1, 0), "need n >= 0 and h >= 0"),
     (trig_count, (-1, 2), "need n >= 0 and h >= 0"),
+    (narayana, (4, 5), "need 1 <= k <= m; got (4, 5)"),
+    (narayana, (0, 0), "need 1 <= k <= m; got (0, 0)"),
+    (narayana, (True, 2), "need 1 <= k <= m; got (True, 2)"),
+    (rtlm_to_dyck, (((1, 1),), -1),
+     "((1, 1),) are not the right-to-left minima of a permutation of 1..-1"),
+    (arrangement_to_semiorder, (0, ()), "need n >= 1"),
+    (arrangement_to_semiorder, (True, (2,)), "upper indices must lie in 2..True"),
+    (staircase_seed, (0,), "need k >= 1"),
+    (all_ordered_partitions, (-1,), "need n >= 0"),
+    (enumerate_semiorders, (-1,), "need n >= 0; got -1"),
+    (enumerate_posets, (-2,), "need n >= 0; got -2"),
+    (labeled_posets, (-1,), "need n >= 0; got -1"),
+    (oracle_counts, (-1,), "need n >= 0; got -1"),
+    (run_suite, ("all", 0), "need max_n >= 1; got 0"),
+    (run_suite, ("all", False), "need max_n >= 1; got False"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_range_messages(function, args, message):
-    with pytest.raises(InvalidParametersError) as caught:
-        function(*args)
+    with pytest.raises(OWN_ERROR.get(function, InvalidParametersError)) as caught:
+        call(function, *args)
     assert str(caught.value) == message
 
 
