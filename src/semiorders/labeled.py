@@ -5,9 +5,12 @@ substituting 1 - e^(-x), carried out exactly on truncated series through
 
     n! [x^n] (1 - e^(-x))^k  =  T(n, k)  =  (-1)^(n-k) * k! * S(n, k)
 
-with S the Stirling numbers of the second kind.  S(n, k) = k S(n-1, k) +
-S(n-1, k-1) gives T(n, k) = k (T(n-1, k-1) - T(n-1, k)), so one row of T,
-rolled forward in place, is all the transform holds.  A labeled semiorder is
+with S the Stirling numbers of the second kind.  The series transform rolls
+one row of T forward in place, by T(n, k) = k (T(n-1, k-1) - T(n-1, k)) from
+S(n, k) = k S(n-1, k) + S(n-1, k-1).  A single count takes entry n alone as
+the power sum sum_j (-1)^(n-j) j^n [y^j] F(1 + y), since k! S(n, k) =
+sum_j (-1)^(k-j) C(k, j) j^n, with F(1 + y) shifted in one packed integer; the
+two share no transform code, so each checks the other.  A labeled semiorder is
 stored as its contraction seed plus the ordered label blocks of the
 equivalence classes; seeds of semiorders are rigid, so within-class label
 choices never matter and this form is canonical.  For length <= 1 the
@@ -17,7 +20,7 @@ order onto the classes of the staircase seed (m, m-1, ..., 1, 0, ..., 0).
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations
 from operator import add, mul
 
 from . import InvalidParametersError, _ints
@@ -63,21 +66,32 @@ def substitute_one_minus_exp(coefficients) -> tuple[int, ...]:
     return out
 
 
-def _entry(series: tuple[int, ...]) -> int:
-    """The last entry of the transform of ``series``: one dot product with its row."""
-    return sum(map(mul, series, next(islice(_rows(), len(series) - 1, None))))
+def _power_sum(f: tuple[int, ...]) -> int:
+    """Entry n = len(f) - 1 of the transform of f (every f_k >= 0), as the module's power sum.
+    Each g_j <= 2^n sum(f) fits a slot of `size` bytes, so Horner packs F(1 + y) in one int."""
+    n = len(f) - 1
+    size = (n + sum(f).bit_length() + 8) // 8
+    packed = tail = 0
+    for k, c in enumerate(reversed(f), 1):  # the last f_k wait in tail: one big shift-add a step
+        packed += packed << 8 * size
+        tail = (tail << 8 * size) + tail + c
+        if k % 32 == 0:
+            packed, tail = packed + tail, 0
+    raw = (packed + tail).to_bytes(size * (n + 1), "little")
+    return sum((-1) ** (n - j) * pow(j, n) * int.from_bytes(raw[j * size:(j + 1) * size], "little")
+               for j in range(n + 1))
 
 
 def count_labeled_leq(n: int, h: int) -> int:
     """Labeled n-element semiorders of length at most h."""
     n, h = _ints(n=(n, 0), h=(h, 0))
-    return _entry(series_leq(h, n))
+    return _power_sum(series_leq(h, n))
 
 
 def count_labeled_exact(n: int, h: int) -> int:
     """Labeled n-element semiorders of length exactly h (0 at n = 0)."""
     n, h = _ints(n=(n, 0), h=(h, 0))
-    return _entry(series_exact(h, n))
+    return _power_sum(series_exact(h, n))
 
 
 def ordered_bell(n: int) -> int:

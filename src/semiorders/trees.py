@@ -11,6 +11,7 @@ Every tree the package builds comes from a Dyck word through ``dyck_to_tree``.
 
 from __future__ import annotations
 
+from . import _ints
 from .core import Frozen
 
 
@@ -163,17 +164,23 @@ def dyck_to_tree(path: DyckPath) -> OrderedTree:
 
 def all_trees(node_count: int):
     """Yield every plane tree with the given node count: the tree of each word of all_dyck_words."""
+    [node_count] = _ints(node_count=(node_count, 0))
     if node_count >= 1:
-        for path in all_dyck_words(node_count - 1):
-            yield dyck_to_tree(path)
+        yield from map(dyck_to_tree, map(DyckPath, _dyck_words(node_count - 1)))
 
 
 def all_dyck_words(semilength: int):
     """Yield every Dyck word of the given semilength (w = U w1 D w2)."""
+    [semilength] = _ints(semilength=(semilength, 0))
+    yield from map(DyckPath, _dyck_words(semilength))
+
+
+def _dyck_words(semilength: int):
+    """The words of all_dyck_words as strings, past the gate, which the recursive calls do not repeat."""
     if semilength == 0:
-        yield DyckPath("")
+        yield ""
         return
     for k in range(semilength):
-        for first in all_dyck_words(k):
-            for rest in all_dyck_words(semilength - 1 - k):
-                yield DyckPath("U" + first.word + "D" + rest.word)
+        for first in _dyck_words(k):
+            for rest in _dyck_words(semilength - 1 - k):
+                yield "U" + first + "D" + rest

@@ -61,7 +61,7 @@ def suite_recurrences(max_n: int) -> list[str]:
 
 
 def suite_labeled(max_n: int) -> list[str]:
-    from . import labeled
+    from . import counting, labeled
 
     top = min(max_n, 12)
     lines = []
@@ -78,6 +78,11 @@ def suite_labeled(max_n: int) -> list[str]:
         seen.add(image)
     ok &= len(seen) == labeled.ordered_bell(small)
     lines.append(_line(ok, f"labeled partition-bijection n={small}"))
+    pairs = ((labeled.count_labeled_leq, counting.series_leq),
+             (labeled.count_labeled_exact, counting.series_exact))
+    ok = all(count(n, h) == labeled.substitute_one_minus_exp(series(h, n))[n]  # power sum = rolling row
+             for count, series in pairs for h in range(top + 1) for n in range(h, top + 1))
+    lines.append(_line(ok, f"labeled entry=series n<={top}"))
     return lines
 
 

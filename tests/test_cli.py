@@ -351,8 +351,8 @@ def test_series_count_peaks_in_bounded_memory():
 
 
 def test_labeled_count_peaks_in_bounded_memory():
-    # the transform holds one row of signed k! S(n, k), not the whole Stirling
-    # table (this command peaked at 211 MB with the table)
+    # the count packs the coefficients of F(1 + y) in one int, not the whole
+    # Stirling table (this command peaked at 211 MB with the table)
     n, h = 1000, 10
     proc, peak_kb = peak_of(["count", "--n", str(n), "--height", str(h), "--labeled", "--at-most"])
     assert peak_kb < 50 * 1024, f"peak {peak_kb / 1024:.0f} MB"

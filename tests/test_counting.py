@@ -41,7 +41,7 @@ from semiorders.labeled import (
     staircase_seed,
 )
 from semiorders.oracle import enumerate_posets, enumerate_semiorders, labeled_posets, oracle_counts
-from semiorders.trees import DyckPath, all_trees
+from semiorders.trees import DyckPath, all_dyck_words, all_trees
 from semiorders.trunk import InvalidRtlmSetError, narayana, rtlm_to_dyck
 from semiorders.verify import run_suite
 
@@ -257,7 +257,7 @@ INTEGER_ARGUMENTS = [
     (count_labeled_exact, (5, 2)), (narayana, (4, 2)), (rtlm_to_dyck, (((1, 1),), 1)),
     (arrangement_to_semiorder, (4, (2,))), (staircase_seed, (4,)), (all_ordered_partitions, (3,)),
     (enumerate_semiorders, (4,)), (enumerate_posets, (3,)), (labeled_posets, (3,)),
-    (oracle_counts, (4,)), (run_suite, ("trunk", 2)),
+    (oracle_counts, (4,)), (run_suite, ("trunk", 2)), (all_trees, (3,)), (all_dyck_words, (2,)),
 ]
 # the functions that raise their own ValueError subclass, not InvalidParametersError
 OWN_ERROR = {arrangement_to_semiorder: IndexOutOfRangeError, rtlm_to_dyck: InvalidRtlmSetError}
@@ -311,6 +311,7 @@ def test_bools_are_integers():
     assert len(enumerate_posets(True)) == len(list(labeled_posets(True))) == 1
     assert oracle_counts(True) == oracle_counts(True, "posets") == {0: 1}
     assert run_suite("trunk", True)[1]
+    assert len(list(all_trees(True))) == len(list(all_dyck_words(True))) == 1
 
 
 @pytest.mark.parametrize("function, args, message", [
@@ -340,6 +341,8 @@ def test_bools_are_integers():
     (oracle_counts, (-1,), "need n >= 0; got -1"),
     (run_suite, ("all", 0), "need max_n >= 1; got 0"),
     (run_suite, ("all", False), "need max_n >= 1; got False"),
+    (all_trees, (-1,), "need node_count >= 0"),
+    (all_dyck_words, (-1,), "need semilength >= 0"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_range_messages(function, args, message):
     with pytest.raises(OWN_ERROR.get(function, InvalidParametersError)) as caught:

@@ -176,6 +176,33 @@ class TestLabeledCounts:
         assert count_labeled_exact(n, h) == reference_transform(series_exact(h, n))[n]
 
 
+class TestPowerSum:
+    """count_labeled_* take entry n as a power sum over the coefficients of F(1 + y),
+    packed in one int; the series keeps the rolling row, so each checks the other."""
+
+    def test_catalan_series_where_the_slots_are_widest(self):
+        reference = reference_transform(tuple(catalan(k) for k in range(401)))
+        for n in [*range(40), *range(40, 400, 9), 400]:
+            assert count_labeled_leq(n, max(n - 1, 0)) == reference[n]
+        assert count_labeled_leq(400, 1000) == reference[400]
+
+    def test_smallest_sizes_and_bools(self):
+        assert [count_labeled_leq(0, h) for h in range(4)] == [1, 1, 1, 1]
+        assert [count_labeled_exact(0, h) for h in range(4)] == [0, 0, 0, 0]
+        assert [count_labeled_leq(1, h) for h in range(4)] == [1, 1, 1, 1]
+        assert [count_labeled_exact(1, h) for h in range(4)] == [1, 0, 0, 0]
+        assert [count_labeled_exact(n, 0) for n in range(1, 30)] == [1] * 29
+        assert [count_labeled_exact(n, n - 1) for n in range(1, 30)] == list(map(math.factorial, range(1, 30)))
+        assert count_labeled_leq(True, True) == count_labeled_exact(True, False) == 1
+        assert count_labeled_exact(False, True) == 0 and count_labeled_leq(2, True) == 3
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 400), st.integers(0, 40))
+    def test_matches_the_rolling_row(self, n, h):
+        assert count_labeled_leq(n, h) == substitute_one_minus_exp(series_leq(h, n))[n]
+        assert count_labeled_exact(n, h) == substitute_one_minus_exp(series_exact(h, n))[n]
+
+
 def reference_ordered_bells(top):
     """a(0..top) by a(m) = sum_k binom(m, k) a(m-k), one math.comb per term:
     the loop the rolled Pascal row replaced."""

@@ -115,7 +115,7 @@ def reference_forests(total):
 
 
 class TestAllTreesFromDyckWords:
-    @pytest.mark.parametrize("n", range(-1, 12))
+    @pytest.mark.parametrize("n", range(12))
     def test_same_trees_in_the_same_order(self, n):
         trees = list(all_trees(n))
         assert trees == list(reference_trees(n))
